@@ -1,45 +1,36 @@
 (* cc_lint — model-compliance linter for the congested-clique reproduction.
 
-   Usage: cc_lint [--rules] [--semantic | --no-semantic] [--graph]
-                  [--json] [PATH ...]                 (default paths: lib bin)
+   Usage: cc_lint [--rules] [--graph] [--json] [PATH ...]
+                                                      (default paths: lib bin)
 
-   The lexical rules (L1-L9, Analysis.Lint) always run and stay the fast
-   path. --semantic additionally parses every implementation with the
-   compiler frontend, builds the module-qualified call graph, and runs the
-   interprocedural rules L10-L12 (Analysis.Semantic); because L12
-   supersedes L8 with AST-accurate scoping, the lexical L8 findings are
-   dropped when the semantic pass runs. --graph dumps the call graph as
-   GraphViz DOT to stdout and exits. --json renders findings through the
-   dependency-free Metrics.Json instead of line-per-finding text.
+   One pass (Analysis.Semantic): every .ml/.mli under the roots is parsed
+   with the compiler frontend and checked against the whole catalog —
+   per-reference rules on each tree, the interprocedural rules over the
+   module-qualified call graph, and L6 over the files on disk. --graph
+   dumps the call graph as GraphViz DOT to stdout and exits. --json
+   renders findings through the dependency-free Metrics.Json instead of
+   line-per-finding text.
 
-   Exit codes: 0 clean, 1 findings (or semantic parse errors), 2 usage. *)
+   Exit codes: 0 clean, 1 findings (or parse errors), 2 usage or a root
+   that is missing or not a directory/.ml/.mli file. *)
 
 let usage () =
   prerr_endline
-    "usage: cc_lint [--rules] [--semantic | --no-semantic] [--graph] \
-     [--json] [PATH ...]   (default: lib bin)";
+    "usage: cc_lint [--rules] [--graph] [--json] [PATH ...]   (default: lib \
+     bin)";
   exit 2
 
-type opts = {
-  semantic : bool;
-  graph : bool;
-  json : bool;
-  roots : string list;
-}
+type opts = { graph : bool; json : bool; roots : string list }
 
 let parse_args args =
   let rec go opts = function
     | [] -> opts
-    | "--semantic" :: rest -> go { opts with semantic = true } rest
-    | "--no-semantic" :: rest -> go { opts with semantic = false } rest
-    | "--graph" :: rest -> go { opts with graph = true; semantic = true } rest
+    | "--graph" :: rest -> go { opts with graph = true } rest
     | "--json" :: rest -> go { opts with json = true } rest
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' -> usage ()
     | path :: rest -> go { opts with roots = opts.roots @ [ path ] } rest
   in
-  let opts =
-    go { semantic = false; graph = false; json = false; roots = [] } args
-  in
+  let opts = go { graph = false; json = false; roots = [] } args in
   if opts.roots = [] then { opts with roots = [ "lib"; "bin" ] } else opts
 
 let () =
@@ -50,28 +41,13 @@ let () =
     exit 0
   end;
   let opts = parse_args args in
-  match
-    let lexical = Analysis.Lint.lint_paths opts.roots in
-    if not opts.semantic then (lexical, [])
-    else begin
-      let sem = Analysis.Semantic.analyze_paths opts.roots in
-      if opts.graph then begin
-        print_string (Analysis.Callgraph.to_dot sem.graph);
-        exit 0
-      end;
-      (* L12 sees everything L8 sees plus nested bindings: keep one
-         finding per allocation site, the AST-accurate one. *)
-      let lexical =
-        List.filter (fun f -> f.Analysis.Lint.rule <> Analysis.Rule.L8) lexical
-      in
-      ( List.sort Analysis.Lint.compare_findings (lexical @ sem.findings),
-        sem.errors )
-    end
-  with
-  | findings, errors ->
+  match Analysis.Semantic.analyze_paths opts.roots with
+  | { graph; _ } when opts.graph ->
+    print_string (Analysis.Callgraph.to_dot graph);
+    exit 0
+  | { findings; errors; _ } ->
     List.iter (fun e -> prerr_endline ("cc_lint: parse error: " ^ e)) errors;
-    if opts.json then
-      Analysis.Report.print_json stdout ~errors findings
+    if opts.json then Analysis.Report.print_json stdout ~errors findings
     else Analysis.Report.print stdout findings;
     prerr_endline (Analysis.Report.summary findings);
     exit (if findings = [] && errors = [] then 0 else 1)

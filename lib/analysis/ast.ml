@@ -35,7 +35,14 @@ let parse_impl ~file src =
 
 let parse_interface ~file src = with_lexbuf ~file src Parse.interface
 
-let flatten = Longident.flatten
+type tree = Impl of Parsetree.structure | Intf of Parsetree.signature
+
+(* [Longident.flatten] aborts on functor applications; a path through
+   one ([Map.Make (String).t]) keeps the functor and drops the argument. *)
+let rec flatten = function
+  | Longident.Lident s -> [ s ]
+  | Ldot (l, s) -> flatten l @ [ s ]
+  | Lapply (f, _) -> flatten f
 
 let raw_lines src = Array.of_list (String.split_on_char '\n' src)
 
@@ -66,3 +73,63 @@ let iter_bindings f structure =
     { Ast_iterator.default_iterator with value_binding = visit_vb }
   in
   it.structure it structure
+
+(* Every longident in the tree, at every syntactic position that names a
+   value, constructor, field, type, or module. Item paths ([A.B.x]) split
+   into their module qualifier and the item; module paths ([open A.B],
+   [module M = A.B], [A.B.(e)]) have no item. *)
+let reference_iterator f =
+  let item ({ txt; loc } : Longident.t Location.loc) =
+    match List.rev (flatten txt) with
+    | name :: rev_mods ->
+      f ~modules:(List.rev rev_mods) ~item:(Some name) ~line:(line_of_loc loc)
+    | [] -> ()
+  in
+  let modpath ({ txt; loc } : Longident.t Location.loc) =
+    f ~modules:(flatten txt) ~item:None ~line:(line_of_loc loc)
+  in
+  let d = Ast_iterator.default_iterator in
+  {
+    d with
+    expr =
+      (fun it e ->
+        (match e.pexp_desc with
+        | Pexp_ident l | Pexp_construct (l, _) | Pexp_field (_, l)
+        | Pexp_setfield (_, l, _) ->
+          item l
+        | Pexp_record (fields, _) -> List.iter (fun (l, _) -> item l) fields
+        | _ -> ());
+        d.expr it e);
+    pat =
+      (fun it p ->
+        (match p.ppat_desc with
+        | Ppat_construct (l, _) | Ppat_type l -> item l
+        | Ppat_record (fields, _) -> List.iter (fun (l, _) -> item l) fields
+        | Ppat_open (l, _) -> modpath l
+        | _ -> ());
+        d.pat it p);
+    typ =
+      (fun it t ->
+        (match t.ptyp_desc with
+        | Ptyp_constr (l, _) | Ptyp_class (l, _) -> item l
+        | _ -> ());
+        d.typ it t);
+    module_expr =
+      (fun it m ->
+        (match m.pmod_desc with Pmod_ident l -> modpath l | _ -> ());
+        d.module_expr it m);
+    module_type =
+      (fun it m ->
+        (match m.pmty_desc with
+        | Pmty_ident l | Pmty_alias l -> modpath l
+        | _ -> ());
+        d.module_type it m);
+    open_description =
+      (fun it o ->
+        modpath o.popen_expr;
+        d.open_description it o);
+    extension_constructor =
+      (fun it ec ->
+        (match ec.pext_kind with Pext_rebind l -> item l | _ -> ());
+        d.extension_constructor it ec);
+  }

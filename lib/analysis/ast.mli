@@ -1,12 +1,12 @@
-(** Compiler-frontend parsing for the semantic lint pass.
+(** Compiler-frontend parsing for the lint pass.
 
     A thin wrapper over [compiler-libs.common] (shipped with the OCaml
     distribution — no new opam dependency): sources are lexed and parsed
     with the compiler's own [Parse.implementation] / [Parse.interface], so
-    the semantic rules (L10-L12) see exactly the tree the compiler sees —
-    nested bindings, module aliases, functor applications, and the
-    parse-time desugarings ([a.(i) <- v] becomes an [Array.set]
-    application) that the lexical pass of {!Scan} cannot. *)
+    every rule sees exactly the tree the compiler sees — nested bindings,
+    module aliases, functor applications, and the parse-time desugarings
+    ([a.(i) <- v] becomes an [Array.set] application). Comments and
+    string literals never reach a rule. *)
 
 type impl = {
   file : string;  (** path the source was read from (or planted as) *)
@@ -20,19 +20,23 @@ val parse_impl : file:string -> string -> (impl, string) result
     returned. *)
 
 val parse_interface : file:string -> string -> (Parsetree.signature, string) result
-(** Parse an [.mli] source, for syntax validation of interface files. *)
+(** Parse an [.mli] source. *)
+
+type tree = Impl of Parsetree.structure | Intf of Parsetree.signature
+(** A parsed [.ml] or [.mli]. *)
 
 val line_of_loc : Location.t -> int
 (** 1-based start line of a compiler location. *)
 
 val flatten : Longident.t -> string list
-(** [Longident.flatten]: [A.B.c] becomes [["A"; "B"; "c"]]. Works for the
-    operator idents the parser synthesizes too ([":="], ["Array.set"]). *)
+(** [A.B.c] becomes [["A"; "B"; "c"]]. Works for the operator idents the
+    parser synthesizes too ([":="], ["Array.set"]). A functor application
+    keeps the functor path and drops the argument: [Map.Make (String).t]
+    becomes [["Map"; "Make"; "t"]]. *)
 
 val raw_lines : string -> string array
 (** The source split on newlines, 1-based access via [raw_lines.(line-1)];
-    used to honor [(* cc_lint: allow .. *)] markers on semantic findings
-    exactly as the lexical pass does. *)
+    used to honor [(* cc_lint: allow .. *)] markers. *)
 
 val iter_expressions : (Parsetree.expression -> unit) -> Parsetree.expression -> unit
 (** Depth-first visit of every sub-expression of an expression (including
@@ -47,3 +51,15 @@ val iter_bindings :
     items, bindings nested inside other bindings' bodies, and bindings
     inside sub-modules — with its simple name (when the pattern is a plain
     variable), definition line, and bound expression. *)
+
+val reference_iterator :
+  (modules:string list -> item:string option -> line:int -> unit) ->
+  Ast_iterator.iterator
+(** An iterator that reports every longident occurrence in the tree it
+    walks, with the line it starts on. Item paths — values, constructors
+    (including exception patterns), record fields, types, extension
+    constructors — arrive as [~modules] qualifier plus [~item:(Some name)];
+    module paths — [open], [include], module aliases and [M.(e)] local
+    opens, module types — arrive whole as [~modules] with [~item:None].
+    Override [expr] (calling the original) to add expression checks to the
+    same walk. *)

@@ -58,6 +58,11 @@ val resolve : t -> from:node -> string list -> node list
 (** Resolve a flattened value longident as seen from [from]'s file; [[]]
     when it refers to nothing the graph knows. *)
 
+val expand_aliases : t -> file:string -> string list -> string list
+(** Expand a file-local module alias at the head of a module path, as
+    resolution does: with [module S = Clique.Sim] in [file], [["S"]]
+    becomes [["Clique"; "Sim"]]. *)
+
 val to_dot : t -> string
 (** GraphViz rendering of the resolved call graph, one node per
     definition, clustered by file. *)

@@ -19,12 +19,11 @@ let alloc_prim lid =
     alloc_prims
 
 let findings (impl : Ast.impl) =
-  let raw = Ast.raw_lines impl.src in
   let hot = Hashtbl.create 4 in
   Array.iter
     (fun line ->
       List.iter (fun nm -> Hashtbl.replace hot nm ()) (Rule.hot_names line))
-    raw;
+    (Ast.raw_lines impl.src);
   if Hashtbl.length hot = 0 then []
   else begin
     let seen = Hashtbl.create 8 in
@@ -60,14 +59,6 @@ let findings (impl : Ast.impl) =
               | _ -> ())
             expr)
       impl.structure;
-    List.filter
-      (fun (f : Lint.finding) ->
-        let raw_line =
-          if f.line - 1 < Array.length raw then raw.(f.line - 1) else ""
-        in
-        (* L12 supersedes L8: an existing [allow L8] marker keeps working. *)
-        not (Rule.suppressed Rule.L12 raw_line)
-        && not (Rule.suppressed Rule.L8 raw_line))
-      !found
+    !found
     |> List.sort Lint.compare_findings
   end

@@ -55,241 +55,144 @@ let supervisor_privileged path =
 let is_lib_module path =
   match segments path with "lib" :: _ :: _ -> true | _ -> false
 
-(* ------------------------------------------------------- token matching *)
-
-let boundary_before line i = i = 0 || not (Scan.is_ident_char line.[i - 1])
-
-let boundary_after line j =
-  j >= String.length line || not (Scan.is_ident_char line.[j])
-
-(* All start positions of [tok] in [line] at identifier boundaries. A token
-   ending in a non-identifier character (the trailing dot of [Random.]) needs
-   no right boundary: whatever follows the dot cannot extend the token. *)
-let token_positions line tok =
-  let tl = String.length tok and ll = String.length line in
-  let needs_right = tl > 0 && Scan.is_ident_char tok.[tl - 1] in
-  let rec loop i acc =
-    if i + tl > ll then List.rev acc
-    else if
-      String.sub line i tl = tok
-      && boundary_before line i
-      && ((not needs_right) || boundary_after line (i + tl))
-    then loop (i + 1) (i :: acc)
-    else loop (i + 1) acc
-  in
-  loop 0 []
-
-let mentions line tok = token_positions line tok <> []
-
-(* [with] +spaces+ [_] +spaces+ [->] — the lexical shape of a catch-all
-   handler. A [match] earlier on the line means the [_] is an ordinary
-   wildcard pattern, not an exception catch-all. *)
-let catch_all line =
-  match token_positions line "with" with
-  | [] -> false
-  | positions ->
-    let matches = token_positions line "match" in
-    List.exists
-      (fun i ->
-        (not (List.exists (fun m -> m < i) matches))
-        &&
-        let len = String.length line in
-        let j = ref (i + 4) in
-        while !j < len && line.[!j] = ' ' do
-          incr j
-        done;
-        if !j < len && line.[!j] = '_' && boundary_after line (!j + 1) then begin
-          incr j;
-          while !j < len && line.[!j] = ' ' do
-            incr j
-          done;
-          !j + 1 < len && line.[!j] = '-' && line.[!j + 1] = '>'
-        end
-        else false)
-      positions
-
 (* ----------------------------------------------------------- the rules *)
 
-let transport_ops = [ "exchange"; "route"; "broadcast"; "charge" ]
+(* What a rule looks for in a reference: a module anywhere in its module
+   path ([Random] in [Stdlib.Random.int], or in [open Random]), an item
+   under its immediate qualifier ([Sim.exchange] in [Clique.Sim.exchange]),
+   or an item by name alone ([Shard_down], however qualified). *)
+type pattern = Module of string | Item of string * string | Name of string
 
-let transport_tokens =
-  List.concat_map
-    (fun m -> List.map (fun op -> m ^ "." ^ op) transport_ops)
-    [ "Sim"; "Congest" ]
+let matches ~modules ~item = function
+  | Module m -> List.mem m modules
+  | Item (m, x) -> (
+    item = Some x && match List.rev modules with q :: _ -> q = m | [] -> false)
+  | Name x -> item = Some x
 
-let entropy_tokens = [ "Random." ]
+type check = {
+  rule : Rule.id;
+  applies : string -> bool;  (* on the file path *)
+  patterns : pattern list;
+  why : string;  (* appended to the quoted reference *)
+}
 
-(* Recovery belongs to the driver above the algorithms: a charged layer
-   that catches Fault_detected or re-runs itself through Recover.run is
-   making resilience decisions the ledger can no longer attribute. *)
-let recovery_tokens = [ "Fault_detected"; "Recover.run" ]
-
-let wallclock_tokens = [ "Unix."; "Sys.time" ]
-
-(* Per-call allocation primitives the round hot path must not reach for:
-   arena-style kernels size their buffers once and reset them. *)
-let alloc_tokens = [ "Hashtbl.create"; "Array.make"; "Bytes.create" ]
+let items m names = List.map (fun x -> Item (m, x)) names
 
 (* Raw socket syscalls (L9). [Unix.select] is deliberately absent: waiting
    on descriptors does not move bytes, and drivers may multiplex. *)
-let socket_tokens =
+let socket_syscalls =
   [
-    "Unix.socket";
-    "Unix.socketpair";
-    "Unix.connect";
-    "Unix.accept";
-    "Unix.bind";
-    "Unix.listen";
-    "Unix.read";
-    "Unix.write";
-    "Unix.single_write";
+    "socket"; "socketpair"; "connect"; "accept"; "bind"; "listen"; "read";
+    "write"; "single_write";
   ]
 
-(* The top-level binding a column-0 [let] / [let rec] / [and] line opens,
-   if any — the lexical "current function" tracker rule L8 scopes hot
-   regions with. Nested (indented) bindings stay inside the enclosing
-   function on purpose: a hot function's local helpers are hot too. *)
-let toplevel_binding code_line =
-  let len = String.length code_line in
-  let after_kw kw =
-    let kl = String.length kw in
-    if len > kl && String.sub code_line 0 kl = kw && code_line.[kl] = ' ' then
-      Some (kl + 1)
-    else None
-  in
-  let start =
-    match after_kw "let rec" with
-    | Some i -> Some i
-    | None -> (
-      match after_kw "let" with Some i -> Some i | None -> after_kw "and")
-  in
-  match start with
-  | None -> None
-  | Some i ->
-    let i = ref i in
-    while !i < len && code_line.[!i] = ' ' do
-      incr i
-    done;
-    let j = ref !i in
-    while !j < len && Scan.is_ident_char code_line.[!j] do
-      incr j
-    done;
-    if !j > !i then Some (String.sub code_line !i (!j - !i)) else None
+let checks =
+  [
+    {
+      rule = Rule.L1;
+      applies = is_charged;
+      patterns = [ Module "Random" ];
+      why = "in charged layer: the seeded Graph.Prng is the only sanctioned \
+             entropy";
+    };
+    {
+      rule = Rule.L2;
+      applies = is_charged;
+      patterns = [ Module "Unix"; Item ("Sys", "time") ];
+      why = "in charged layer: rounds, not wall-clock, are the cost measure";
+    };
+    {
+      rule = Rule.L3;
+      applies = (fun f -> not (transport_privileged f));
+      patterns =
+        List.concat_map
+          (fun m -> items m [ "exchange"; "route"; "broadcast"; "charge" ])
+          [ "Sim"; "Congest" ];
+      why = "is a direct transport call that bypasses the Runtime ledger";
+    };
+    {
+      rule = Rule.L4;
+      applies = (fun _ -> true);
+      patterns = [ Item ("Obj", "magic") ];
+      why = "is forbidden";
+    };
+    (* Recovery belongs to the driver above the algorithms: a charged layer
+       that catches Fault_detected or re-runs itself through Recover.run is
+       making resilience decisions the ledger can no longer attribute. *)
+    {
+      rule = Rule.L7;
+      applies = is_charged;
+      patterns = [ Name "Fault_detected"; Item ("Recover", "run") ];
+      why = "in charged layer: recovery decisions belong to the driver \
+             (Fault.Recover), not the algorithms";
+    };
+    {
+      rule = Rule.L9;
+      applies = (fun f -> not (wire_privileged f));
+      patterns = items "Unix" socket_syscalls;
+      why = "is a raw socket call outside the wire layer: use Wire.Link so \
+             framing and byte accounting apply";
+    };
+    {
+      rule = Rule.L13;
+      applies = (fun f -> is_lib_module f && not (supervisor_privileged f));
+      patterns = [ Name "Shard_down" ];
+      why = "outside the supervisor layer: let it propagate — only \
+             lib/clique/socket.ml and lib/fault/ may handle a dead worker";
+    };
+  ]
 
-let line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok ~hot
-    lineno code_line =
+(* L5: an unguarded [_] case of a [try ... with] or a [| exception _] arm,
+   wherever it sits — any line, any arm. *)
+let catch_all_lines (e : Parsetree.expression) =
+  let wildcard (c : Parsetree.case) p =
+    match p.Parsetree.ppat_desc with
+    | Ppat_any when c.pc_guard = None -> [ Ast.line_of_loc p.ppat_loc ]
+    | _ -> []
+  in
+  match e.pexp_desc with
+  | Pexp_try (_, cases) -> List.concat_map (fun c -> wildcard c c.pc_lhs) cases
+  | Pexp_match (_, cases) ->
+    List.concat_map
+      (fun (c : Parsetree.case) ->
+        match c.pc_lhs.ppat_desc with
+        | Ppat_exception p -> wildcard c p
+        | _ -> [])
+      cases
+  | _ -> []
+
+let reference_findings ~file ~expand tree =
+  let checks = List.filter (fun c -> c.applies file) checks in
   let found = ref [] in
-  let add rule message = found := (rule, message) :: !found in
-  if charged then begin
+  let add rule line message =
+    found := { file; line; rule; message } :: !found
+  in
+  let on_reference ~modules ~item ~line =
+    let modules = expand modules in
     List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L1
-            (Printf.sprintf
-               "'%s' in charged layer: the seeded Graph.Prng is the only \
-                sanctioned entropy"
-               tok))
-      entropy_tokens;
+      (fun c ->
+        if List.exists (matches ~modules ~item) c.patterns then
+          add c.rule line
+            (Printf.sprintf "'%s' %s"
+               (String.concat "." (modules @ Option.to_list item))
+               c.why))
+      checks
+  in
+  let it = Ast.reference_iterator on_reference in
+  let expr self e =
     List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L2
-            (Printf.sprintf
-               "'%s' in charged layer: rounds, not wall-clock, are the cost \
-                measure"
-               tok))
-      wallclock_tokens;
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L7
-            (Printf.sprintf
-               "'%s' in charged layer: recovery decisions belong to the \
-                driver (Fault.Recover), not the algorithms"
-               tok))
-      recovery_tokens
-  end;
-  if not privileged then
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L3
-            (Printf.sprintf
-               "direct transport call '%s' bypasses the Runtime ledger" tok))
-      transport_tokens;
-  if not wire_ok then
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L9
-            (Printf.sprintf
-               "raw socket call '%s' outside the wire layer: use Wire.Link so \
-                framing and byte accounting apply"
-               tok))
-      socket_tokens;
-  if hot then
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L8
-            (Printf.sprintf
-               "'%s' in hot-path function: the round hot path reuses \
-                preallocated buffers (see Runtime.Arena)"
-               tok))
-      alloc_tokens;
-  if not supervisor_ok then
-    if mentions code_line "Shard_down" then
-      add Rule.L13
-        "Shard_down outside the supervisor layer: let it propagate — only \
-         lib/clique/socket.ml and lib/fault/ may handle a dead worker";
-  if mentions code_line "Obj.magic" then
-    add Rule.L4 "Obj.magic is forbidden";
-  if catch_all code_line then
-    add Rule.L5
-      "catch-all handler 'with _ ->' can swallow model violations; match \
-       specific exceptions";
-  List.rev_map
-    (fun (rule, message) -> { file; line = lineno; rule; message })
-    !found
-
-let scan_source ~file src =
-  let charged = is_charged file in
-  let privileged = transport_privileged file in
-  let wire_ok = wire_privileged file in
-  let supervisor_ok = (not (is_lib_module file)) || supervisor_privileged file in
-  (* [strip] preserves newlines, so raw and code line arrays are parallel. *)
-  let raw = Array.of_list (Scan.lines src) in
-  let code = Array.of_list (Scan.lines (Scan.strip src)) in
-  (* Hot markers live in comments, so they are read off the raw lines;
-     the set is per-file and applies to the whole file regardless of where
-     the marker sits. *)
-  let hot_set = Hashtbl.create 4 in
-  Array.iter
-    (fun raw_line ->
-      List.iter (fun nm -> Hashtbl.replace hot_set nm ()) (Rule.hot_names raw_line))
-    raw;
-  let current = ref "" in
-  let findings = ref [] in
-  Array.iteri
-    (fun idx code_line ->
-      (match toplevel_binding code_line with
-      | Some nm -> current := nm
-      | None -> ());
-      let hot = Hashtbl.mem hot_set !current in
-      line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok ~hot
-        (idx + 1) code_line
-      |> List.iter (fun f ->
-             if not (Rule.suppressed f.rule raw.(idx)) then
-               findings := f :: !findings))
-    code;
-  List.sort compare_findings !findings
-
-let scan_file file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  scan_source ~file src
+      (fun line ->
+        add Rule.L5 line
+          "catch-all exception handler '_' can swallow model violations; \
+           match specific exceptions")
+      (catch_all_lines e);
+    it.expr self e
+  in
+  let it = { it with expr } in
+  (match tree with
+  | Ast.Impl s -> it.structure it s
+  | Ast.Intf s -> it.signature it s);
+  !found
 
 (* ------------------------------------------------------------------ L6 *)
 
@@ -298,10 +201,11 @@ let missing_mlis paths =
   List.iter (fun p -> Hashtbl.replace set p ()) paths;
   List.filter_map
     (fun p ->
+      let mli = p ^ "i" in
       if
         Filename.check_suffix p ".ml"
         && is_lib_module p
-        && not (Hashtbl.mem set (p ^ "i"))
+        && not (Hashtbl.mem set mli || Sys.file_exists mli)
       then
         Some
           {
@@ -313,8 +217,3 @@ let missing_mlis paths =
       else None)
     paths
   |> List.sort compare_findings
-
-let lint_paths roots =
-  let files = Walk.collect roots in
-  let per_file = List.concat_map scan_file files in
-  List.sort compare_findings (per_file @ missing_mlis files)

@@ -1,6 +1,8 @@
-type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13
+(* L8, the lexical hot-path allocation rule, is retired (L12 replaced it);
+   the other ids keep their numbers so existing markers stay valid. *)
+type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L9 | L10 | L11 | L12 | L13
 
-let all = [ L1; L2; L3; L4; L5; L6; L7; L8; L9; L10; L11; L12; L13 ]
+let all = [ L1; L2; L3; L4; L5; L6; L7; L9; L10; L11; L12; L13 ]
 
 let to_string = function
   | L1 -> "L1"
@@ -10,7 +12,6 @@ let to_string = function
   | L5 -> "L5"
   | L6 -> "L6"
   | L7 -> "L7"
-  | L8 -> "L8"
   | L9 -> "L9"
   | L10 -> "L10"
   | L11 -> "L11"
@@ -25,16 +26,12 @@ let of_string = function
   | "L5" -> Some L5
   | "L6" -> Some L6
   | "L7" -> Some L7
-  | "L8" -> Some L8
   | "L9" -> Some L9
   | "L10" -> Some L10
   | "L11" -> Some L11
   | "L12" -> Some L12
   | "L13" -> Some L13
   | _ -> None
-
-(* The semantic (AST/call-graph) rules, shipped by the --semantic pass. *)
-let semantic = [ L10; L11; L12 ]
 
 let synopsis = function
   | L1 ->
@@ -45,36 +42,34 @@ let synopsis = function
      are the only cost measure"
   | L3 ->
     "transport call bypassing the Runtime ledger (Sim./Congest. \
-     exchange/route/broadcast/charge outside lib/runtime and lib/clique)"
+     exchange/route/broadcast/charge outside lib/runtime, lib/clique and \
+     the test/bench harness), module aliases included"
   | L4 -> "Obj.magic defeats the type discipline the round accounting rests on"
   | L5 ->
-    "catch-all exception handler (try ... with _ ->) can swallow \
-     Bandwidth_exceeded and sanitizer violations"
+    "catch-all exception handler (an unguarded _ case of try ... with, or \
+     | exception _) can swallow Bandwidth_exceeded and sanitizer \
+     violations"
   | L6 -> "lib module without an .mli interface"
   | L7 ->
     "recovery logic inside a charged layer (catching Fault_detected or \
      calling Recover.run): verify-and-retry belongs to the driver"
-  | L8 ->
-    "allocation in a hot-path function (Hashtbl.create, Array.make or \
-     Bytes.create inside a function named by a (* cc_lint: hot ... *) \
-     marker): the round hot path preallocates and reuses"
   | L9 ->
     "raw socket I/O outside the wire layer (Unix.socket, connect, accept, \
      read, write, ...): all inter-process bytes go through Wire.Link so \
      framing, checksums and byte accounting cannot be bypassed"
   | L10 ->
-    "[semantic] impure primitive (Random.*, Unix.time/gettimeofday, \
+    "impure primitive (Random.*, Unix.time/gettimeofday, \
      Sys.time, Domain.*, raw sockets) reachable through the call graph \
      from a charged-layer function; the finding prints the offending call \
      chain hop by hop"
   | L11 ->
-    "[semantic] top-level mutable state (ref cells, global Hashtbl/Array \
+    "top-level mutable state (ref cells, global Hashtbl/Array \
      values, mutable record fields) written from the domain-fanned region \
      without Atomic/Mutex discipline: a data race across Pool workers"
   | L12 ->
-    "[semantic] allocation inside a (* cc_lint: hot ... *) function, \
-     AST-accurate: unlike L8's lexical tracker it sees nested let \
-     bindings, so hot closures defined inside factories are covered"
+    "allocation (Hashtbl.create, Array.make, Bytes.create) inside a \
+     function named by a (* cc_lint: hot ... *) marker, at any let depth: \
+     the round hot path preallocates and reuses"
   | L13 ->
     "Shard_down handled outside the supervisor layer: only the socket \
      coordinator (lib/clique/socket.ml), the fault drivers (lib/fault/), \
@@ -87,8 +82,8 @@ let hot_marker = "cc_lint: hot"
 
 (* The function names a [(* cc_lint: hot deliver exchange *)]-style marker
    on this raw line declares hot, in order; [] when the line carries no
-   marker. The marker is per-file: [Lint.scan_source] unions every line's
-   names before walking the code. *)
+   marker. The marker is per-file: [Hotpath] unions every line's names
+   before walking the tree. *)
 let hot_names raw_line =
   let len = String.length raw_line in
   let mlen = String.length hot_marker in

@@ -6,20 +6,16 @@
     Rules are identified as [L1]..[Ln] (the catalog range is whatever
     {!all} holds — never hardcode it) and can be suppressed per line with a
     [(* cc_lint: allow L2 *)] comment (ids match case-insensitively).
-    [L1]-[L9] and [L13] are lexical (per-line, {!Scan}); the {!semantic}
-    subset is computed from the compiler parse tree and call graph
-    ({!Semantic}). *)
+    All rules run in one pass over the compiler parse tree
+    ({!Semantic.analyze}). *)
 
-type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13
-(** The rule catalog; see {!synopsis} for what each enforces. *)
+type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L9 | L10 | L11 | L12 | L13
+(** The rule catalog; see {!synopsis} for what each enforces. There is no
+    [L8]: that id belonged to the retired lexical form of [L12] and is not
+    reused. *)
 
 val all : id list
 (** In ascending order. *)
-
-val semantic : id list
-(** The rules emitted by the AST/call-graph pass ([cc_lint --semantic]):
-    [L10] (transitive model purity), [L11] (domain-race detector), [L12]
-    (AST-accurate hot-path allocation, superseding [L8]). *)
 
 val to_string : id -> string
 (** ["L1"] .. ["L13"] — the id as it appears in findings and markers. *)
@@ -40,12 +36,10 @@ val suppressed : id -> string -> bool
 
 val hot_marker : string
 (** The literal hot-path marker, ["cc_lint: hot"]. A comment
-    [(* cc_lint: hot deliver *)] anywhere in a file declares the named
-    top-level functions hot: rule [L8] then flags per-call allocation
-    ([Hashtbl.create], [Array.make], [Bytes.create]) inside them, and the
-    semantic rule [L12] does the same from the parse tree — also catching
-    hot functions bound by nested [let]s, which the lexical tracker cannot
-    see. *)
+    [(* cc_lint: hot deliver *)] anywhere in a file declares the functions
+    of that name hot, at any [let] depth: rule [L12] then flags per-call
+    allocation ([Hashtbl.create], [Array.make], [Bytes.create]) inside
+    them. *)
 
 val hot_names : string -> string list
 (** [hot_names raw_line] is the list of function names the line's hot

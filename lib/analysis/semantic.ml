@@ -1,39 +1,11 @@
-(* Rules L10-L12 over the call graph (DESIGN.md §12). *)
+(* The lint pass: every rule over one parse of each file (DESIGN.md §7.1,
+   §12). L10 and L11 live here; the rest come from Lint and Hotpath. *)
 
 type result = {
   findings : Lint.finding list;
   errors : string list;
   graph : Callgraph.t;
 }
-
-(* --------------------------------------------------- layer classification *)
-
-let under dir path =
-  let segs =
-    String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
-  in
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-    | _ -> []
-  in
-  List.mem ("lib", dir) (pairs segs)
-
-let in_lib path =
-  match
-    String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
-  with
-  | "lib" :: _ -> true
-  | _ -> false
-
-(* L10 traversal boundary: the metered/driver/observability layers use
-   Domain, Unix and wall-clock by design and under their own rules (L9,
-   sanitizer, disabled-mode metrics); reaching *into* them from a charged
-   layer is the sanctioned path, so the walk stops at their doorstep. *)
-let traversal_stops file =
-  Lint.transport_privileged file
-  || Lint.wire_privileged file
-  || under "fault" file
-  || under "metrics" file
 
 (* ------------------------------------------------------------- suppression *)
 
@@ -51,11 +23,15 @@ let keep_unsuppressed lines_by_file findings =
 
 (* ------------------------------------------------------------------- L10 *)
 
-let socket_syscalls =
-  [
-    "socket"; "socketpair"; "connect"; "accept"; "bind"; "listen"; "read";
-    "write"; "single_write";
-  ]
+(* L10 traversal boundary: the metered/driver/observability layers use
+   Domain, Unix and wall-clock by design and under their own rules (L9,
+   sanitizer, disabled-mode metrics); reaching *into* them from a charged
+   layer is the sanctioned path, so the walk stops at their doorstep. *)
+let traversal_stops file =
+  Lint.transport_privileged file
+  || Lint.wire_privileged file
+  || Lint.under "fault" file
+  || Lint.under "metrics" file
 
 (* Impure primitives, matched against alias-expanded unresolved references.
    The module segment is matched at the tail of the path so [Stdlib.Random]
@@ -68,7 +44,7 @@ let is_impure_sink lid =
     | "Random" | "Domain" -> true
     | "Unix" ->
       name = "time" || name = "gettimeofday"
-      || List.mem name socket_syscalls
+      || List.mem name Lint.socket_syscalls
     | "Sys" -> name = "time"
     | _ -> false)
   | _ -> false
@@ -274,7 +250,10 @@ let l11_findings graph =
     all;
   List.concat_map
     (fun (n : Callgraph.node) ->
-      if not (in_lib n.file) || not (in_region n) || lock_disciplined graph n
+      if
+        (not (Lint.is_lib_module n.file))
+        || (not (in_region n))
+        || lock_disciplined graph n
       then []
       else
         List.filter_map
@@ -306,24 +285,35 @@ let l11_findings graph =
 let analyze sources =
   let errors = ref [] in
   let impls = ref [] in
+  let trees = ref [] in
   let lines_by_file = Hashtbl.create 64 in
   List.iter
     (fun (file, src) ->
       Hashtbl.replace lines_by_file file (Ast.raw_lines src);
-      if Filename.check_suffix file ".mli" then begin
-        match Ast.parse_interface ~file src with
-        | Ok _ -> ()
-        | Error e -> errors := e :: !errors
-      end
-      else
-        match Ast.parse_impl ~file src with
-        | Ok impl -> impls := impl :: !impls
-        | Error e -> errors := e :: !errors)
+      let parsed =
+        if Filename.check_suffix file ".mli" then
+          Result.map (fun s -> Ast.Intf s) (Ast.parse_interface ~file src)
+        else
+          Result.map
+            (fun (impl : Ast.impl) ->
+              impls := impl :: !impls;
+              Ast.Impl impl.structure)
+            (Ast.parse_impl ~file src)
+      in
+      match parsed with
+      | Ok tree -> trees := (file, tree) :: !trees
+      | Error e -> errors := e :: !errors)
     sources;
   let impls = List.rev !impls in
   let graph = Callgraph.build impls in
   let findings =
-    l10_findings graph @ l11_findings graph
+    List.concat_map
+      (fun (file, tree) ->
+        Lint.reference_findings ~file
+          ~expand:(Callgraph.expand_aliases graph ~file)
+          tree)
+      !trees
+    @ l10_findings graph @ l11_findings graph
     @ List.concat_map Hotpath.findings impls
   in
   {
@@ -342,4 +332,12 @@ let analyze_paths roots =
     close_in ic;
     (file, src)
   in
-  analyze (List.map read (Walk.collect roots))
+  let files = Walk.collect roots in
+  let r = analyze (List.map read files) in
+  (* L6 is a property of the tree on disk, checked after suppression: an
+     interface cannot be waived by a marker. *)
+  {
+    r with
+    findings =
+      List.sort Lint.compare_findings (r.findings @ Lint.missing_mlis files);
+  }

@@ -1,9 +1,11 @@
-(** The semantic (AST + call-graph) lint pass: rules L10-L12.
+(** The lint pass: every rule of {!Rule.all}, over one parse of each file.
 
-    Where the lexical pass of {!Lint} sees one line at a time, this pass
-    parses every implementation with the compiler's own frontend
-    ({!Ast}), builds a module-qualified call graph ({!Callgraph}), and
-    runs interprocedural reachability ({!Dataflow}):
+    Every [.ml] and [.mli] is parsed once with the compiler's own frontend
+    ({!Ast}). Each tree is walked for the per-reference rules of {!Lint}
+    (L1-L5, L7, L9, L13); the implementations also feed a
+    module-qualified call graph ({!Callgraph}) and interprocedural
+    reachability ({!Dataflow}) for the rules below, and {!Hotpath} (L12).
+    {!analyze_paths} adds the on-disk interface check L6.
 
     - {b L10 — transitive model purity.} An impure primitive ([Random.*],
       [Unix.time]/[Unix.gettimeofday], [Sys.time], [Domain.*], raw socket
@@ -24,10 +26,10 @@
       through [Atomic], or the line carries an allow marker. Scoped to
       [lib/]: harness globals in tests are out of model.
 
-    - {b L12 — AST-accurate hot-path allocation} (see {!Hotpath}).
+    - {b L12 — hot-path allocation} (see {!Hotpath}).
 
-    Findings honor the same per-line [(* cc_lint: allow Lk *)] markers as
-    the lexical pass. *)
+    Every finding except L6 honors the per-line [(* cc_lint: allow Lk *)]
+    markers. *)
 
 type result = {
   findings : Lint.finding list;  (** sorted, suppressions applied *)
@@ -38,14 +40,15 @@ type result = {
 }
 
 val analyze : (string * string) list -> result
-(** [analyze sources] over [(file, contents)] pairs. [.ml] files are
-    parsed and analyzed; [.mli] files are syntax-checked only (a parse
-    failure is reported in [errors]). Paths decide layer scoping exactly
-    as in the lexical pass and need not exist on disk. *)
+(** [analyze sources] over [(file, contents)] pairs: every rule except
+    L6. Paths decide layer scoping and need not exist on disk; a file that
+    fails to parse is reported in [errors] and skipped. *)
 
 val analyze_paths : string list -> result
 (** [analyze] over every [.ml]/[.mli] under the given roots
-    (see {!Walk.collect}). *)
+    (see {!Walk.collect}), plus L6 ({!Lint.missing_mlis}) over the
+    collected files. Raises [Invalid_argument] on a root that is missing
+    or is neither a directory nor a source file. *)
 
 val traversal_stops : string -> bool
 (** Whether L10 reachability refuses to descend into functions of this

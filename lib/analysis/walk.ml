@@ -22,7 +22,12 @@ let collect roots =
   in
   List.iter
     (fun root ->
-      if Sys.file_exists root then visit root
-      else invalid_arg (Printf.sprintf "Walk.collect: no such path: %s" root))
+      if not (Sys.file_exists root) then
+        invalid_arg (Printf.sprintf "Walk.collect: no such path: %s" root)
+      else if Sys.is_directory root || source_file root then visit root
+      else
+        invalid_arg
+          (Printf.sprintf "Walk.collect: not a directory or .ml/.mli file: %s"
+             root))
     roots;
   List.sort_uniq compare !acc

@@ -1,11 +1,15 @@
-(* Tests for the cc_lint model-compliance analyzer: every rule L1-L6 is
-   planted in an in-memory source string and must be detected with the
-   correct rule id and line number; suppression markers, comment/string
-   immunity, and path scoping are exercised alongside. *)
+(* Tests for the cc_lint model-compliance analyzer: every rule is planted
+   in an in-memory source string and must be detected with the correct
+   rule id and line number; suppression markers, comment/string immunity,
+   and path scoping are exercised alongside. All cases go through the one
+   entry point, Semantic.analyze (or analyze_paths for on-disk checks).
+   The suite names predate the single pass and are kept so test ids stay
+   stable: "lexical" holds the per-reference rules, "semantic" the
+   call-graph rules. *)
 
 module Lint = Analysis.Lint
 module Rule = Analysis.Rule
-module Scan = Analysis.Scan
+module Semantic = Analysis.Semantic
 
 let rule_t = Alcotest.testable
     (fun fmt id -> Format.pp_print_string fmt (Rule.to_string id))
@@ -16,7 +20,14 @@ let check_findings what expected findings =
     what expected
     (List.map (fun f -> (f.Lint.rule, f.Lint.line)) findings)
 
-let scan ~file lines = Lint.scan_source ~file (String.concat "\n" lines)
+(* The per-reference rules in isolation: L10 legitimately co-fires on a
+   charged layer's direct Random/Unix call and is tested on its own in
+   the semantic suite. *)
+let call_graph_rules = [ Rule.L10; Rule.L11; Rule.L12 ]
+
+let scan ~file lines =
+  (Semantic.analyze [ (file, String.concat "\n" lines) ]).Semantic.findings
+  |> List.filter (fun f -> not (List.mem f.Lint.rule call_graph_rules))
 
 (* ------------------------------------------------------ planted L1..L5 *)
 
@@ -197,69 +208,110 @@ let test_token_boundaries () =
          "let z = sys_time ()";
        ])
 
-let test_scan_strip_preserves_lines () =
-  let src = "let a = 1\n(* multi\nline\ncomment *)\nlet b = \"x\ny\"" in
-  let stripped = Scan.strip src in
-  Alcotest.(check int) "same length" (String.length src)
-    (String.length stripped);
-  Alcotest.(check int) "same line count"
-    (List.length (Scan.lines src))
-    (List.length (Scan.lines stripped))
+(* ------------------------------------- what the parse tree sees *)
 
-(* --------------------------------------------------------- planted L8 *)
-
-let test_l8_hot_alloc () =
-  (* Only functions named by the hot marker are in scope; the marker's
-     position in the file does not matter. *)
-  let findings =
-    scan ~file:"lib/runtime/fake_kernel.ml"
-      [
-        "(* cc_lint: hot deliver scatter *)";
-        "let create n = Array.make n 0";
-        "let deliver t =";
-        "  let tbl = Hashtbl.create 16 in";
-        "  ignore tbl;";
-        "  Array.make 4 0";
-        "let cold () = Bytes.create 8";
-        "and scatter () = Bytes.create 8";
-      ]
-  in
-  check_findings "allocs inside hot functions only"
-    [ (Rule.L8, 4); (Rule.L8, 6); (Rule.L8, 8) ]
-    findings;
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "message names the offending primitive" true
-        (String.length f.Lint.message > 0))
-    findings
-
-let test_l8_requires_marker () =
-  check_findings "no marker, no findings" []
-    (scan ~file:"lib/runtime/fake_kernel.ml"
-       [ "let deliver t = Hashtbl.create 16" ]);
-  (* The rule is lexical and file-global, so it also works outside lib
-     (the hot marker is an explicit opt-in, unlike the charged-layer
-     path scoping of L1/L2/L7). *)
-  check_findings "marker works in bin too"
-    [ (Rule.L8, 2) ]
-    (scan ~file:"bin/fake_tool.ml"
-       [ "(* cc_lint: hot main *)"; "let main () = Array.make 3 1" ])
-
-let test_l8_allow_suppression () =
-  check_findings "allow marker silences the hot-path rule" []
-    (scan ~file:"lib/runtime/fake_kernel.ml"
+let test_line_scanner_blind_spots () =
+  (* Three shapes a line-at-a-time scanner reports clean: a catch-all on
+     its own line, a catch-all behind a specific arm, and a transport call
+     through a module alias. *)
+  check_findings "multi-line, second-arm and aliased violations"
+    [ (Rule.L5, 5); (Rule.L5, 6); (Rule.L3, 7) ]
+    (scan ~file:"lib/flow/x.ml"
        [
-         "(* cc_lint: hot deliver *)";
-         "let deliver t = Array.make t 0 (* cc_lint: allow L8 — escapes *)";
-       ]);
-  (* Suppressing a different rule does not silence L8. *)
-  check_findings "unrelated allow id keeps the finding"
-    [ (Rule.L8, 2) ]
-    (scan ~file:"lib/runtime/fake_kernel.ml"
-       [
-         "(* cc_lint: hot deliver *)";
-         "let deliver t = Array.make t 0 (* cc_lint: allow L5 *)";
+         "module S = Clique.Sim";
+         "let a () =";
+         "  try g ()";
+         "  with";
+         "  | _ -> 0";
+         "let b () = try g () with Not_found -> 0 | _ -> 1";
+         "let c sim = S.exchange sim boxes";
        ])
+
+let test_l5_arms () =
+  check_findings "exception arms of a match, guards exempt"
+    [ (Rule.L5, 1) ]
+    (scan ~file:"bin/fake.ml"
+       [
+         "let a = match f () with v -> v | exception _ -> 0";
+         "let b = match f () with v -> v | exception Not_found -> 0";
+         "let c = try f () with _ when ready () -> 0";
+       ])
+
+let test_reference_positions () =
+  check_findings "open, type path, exception pattern, aliased module"
+    [ (Rule.L1, 1); (Rule.L2, 2); (Rule.L7, 3); (Rule.L7, 5) ]
+    (scan ~file:"lib/sparsify/fake.ml"
+       [
+         "open Random";
+         "type stamp = Unix.tm";
+         "let a f = match f () with v -> v | exception Recover.Fault_detected \
+          _ -> 0";
+         "module R = Recover";
+         "let b rt f = R.run rt f";
+       ]);
+  check_findings "interfaces are walked too"
+    [ (Rule.L2, 1); (Rule.L1, 2) ]
+    (scan ~file:"lib/flow/fake.mli"
+       [ "val now : unit -> Unix.tm"; "val pick : Random.State.t -> int" ])
+
+(* A throwaway tree on disk, entered as the working directory so its
+   [lib/...] paths classify as they would in the repository. *)
+let in_tree files f =
+  let root = Filename.temp_dir "cc_lint_test" "" in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  List.iter
+    (fun (path, src) ->
+      let path = Filename.concat root path in
+      mkdir_p (Filename.dirname path);
+      Out_channel.with_open_bin path (fun oc -> output_string oc src))
+    files;
+  let cwd = Sys.getcwd () in
+  Sys.chdir root;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      rm root)
+    f
+
+let test_l6_sibling_on_disk () =
+  in_tree
+    [
+      ("lib/foo/a.ml", "let x = 1\n");
+      ("lib/foo/a.mli", "val x : int\n");
+      ("lib/foo/b.ml", "let y = 2\n");
+    ]
+    (fun () ->
+      let lint roots = (Semantic.analyze_paths roots).Semantic.findings in
+      check_findings "a lone .ml root with its .mli on disk" []
+        (lint [ "lib/foo/a.ml" ]);
+      check_findings "a lone .ml root without one" [ (Rule.L6, 1) ]
+        (lint [ "lib/foo/b.ml" ]);
+      check_findings "the whole tree" [ (Rule.L6, 1) ] (lint [ "lib" ]))
+
+let test_non_source_root () =
+  let rejects root =
+    match Analysis.Walk.collect [ root ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  in_tree
+    [ ("README.md", "not OCaml\n") ]
+    (fun () ->
+      Alcotest.(check bool) "a non-source file root raises" true
+        (rejects "README.md");
+      Alcotest.(check bool) "a missing root raises" true (rejects "nope.ml"))
 
 (* --------------------------------------------------------- planted L9 *)
 
@@ -315,7 +367,9 @@ let test_report_format () =
     = "lib/flow/x.ml:1 L2 ")
 
 let test_rule_catalog () =
-  Alcotest.(check int) "thirteen rules" 13 (List.length Rule.all);
+  Alcotest.(check int) "twelve rules" 12 (List.length Rule.all);
+  Alcotest.(check (option rule_t)) "L8 is retired, not reused" None
+    (Rule.of_string "L8");
   List.iter
     (fun id ->
       Alcotest.(check (option rule_t))
@@ -329,10 +383,7 @@ let test_rule_catalog () =
     (Analysis.Report.rules_range ());
   Alcotest.(check int) "one table line per rule" (List.length Rule.all)
     (List.length
-       (String.split_on_char '\n' (Analysis.Report.rules_table ())));
-  Alcotest.(check (list rule_t)) "semantic subset"
-    [ Rule.L10; Rule.L11; Rule.L12 ]
-    Rule.semantic
+       (String.split_on_char '\n' (Analysis.Report.rules_table ())))
 
 let test_every_rule_detected_once () =
   (* One source tripping L1..L5 on five known lines, as the acceptance
@@ -365,12 +416,6 @@ let lexical_suite =
       test_l7_recovery_in_charged_layer;
     Alcotest.test_case "L13: Shard_down outside the supervisor" `Quick
       test_l13_shard_down_outside_supervisor;
-    Alcotest.test_case "L8: allocation in hot-marked function" `Quick
-      test_l8_hot_alloc;
-    Alcotest.test_case "L8: marker is the opt-in" `Quick
-      test_l8_requires_marker;
-    Alcotest.test_case "L8: allow suppression" `Quick
-      test_l8_allow_suppression;
     Alcotest.test_case "L9: raw sockets outside the wire layer" `Quick
       test_l9_raw_sockets;
     Alcotest.test_case "L9: wire layer is privileged" `Quick
@@ -381,8 +426,15 @@ let lexical_suite =
     Alcotest.test_case "comment/string immunity" `Quick
       test_comment_and_string_immunity;
     Alcotest.test_case "token boundaries" `Quick test_token_boundaries;
-    Alcotest.test_case "strip preserves line structure" `Quick
-      test_scan_strip_preserves_lines;
+    Alcotest.test_case "line-scanner blind spots" `Quick
+      test_line_scanner_blind_spots;
+    Alcotest.test_case "L5: exception arms and guards" `Quick test_l5_arms;
+    Alcotest.test_case "reference positions and interfaces" `Quick
+      test_reference_positions;
+    Alcotest.test_case "L6: sibling .mli on disk" `Quick
+      test_l6_sibling_on_disk;
+    Alcotest.test_case "non-source root is rejected" `Quick
+      test_non_source_root;
     Alcotest.test_case "report format" `Quick test_report_format;
     Alcotest.test_case "rule catalog" `Quick test_rule_catalog;
     Alcotest.test_case "planted L1-L5 all detected" `Quick
@@ -391,7 +443,6 @@ let lexical_suite =
 
 (* ===================================================== semantic pass == *)
 
-module Semantic = Analysis.Semantic
 module Report = Analysis.Report
 module Json = Metrics.Json
 
@@ -423,16 +474,15 @@ let l10_corpus =
   ]
 
 let test_l10_multihop_chain () =
-  (* Pinned blind spot #1: the lexical pass sees nothing in any of the
-     three files (lib/core is not a charged layer, and the charged file
-     never utters "Random"). *)
+  (* Pinned blind spot #1: no single file holds a violation (lib/core is
+     not a charged layer, and the charged file never utters "Random"). *)
   List.iter
-    (fun (file, src) ->
-      check_findings ("lexical pass is blind: " ^ file) []
-        (Lint.scan_source ~file src))
+    (fun source ->
+      check_findings ("each file alone is clean: " ^ fst source) []
+        (sem_findings [ source ]))
     l10_corpus;
-  (* ... and the semantic pass pins it with a hop-by-hop witness chain
-     that names every intermediate function. *)
+  (* ... and the call graph pins it with a hop-by-hop witness chain that
+     names every intermediate function. *)
   let findings = sem_findings l10_corpus in
   check_findings "one L10 finding at the charged call site"
     [ (Rule.L10, 1) ] findings;
@@ -459,12 +509,15 @@ let test_l10_direct_hit_and_suppression () =
     sem_findings
       [ ("lib/euler/fake_tour.ml", "let now () = Unix.gettimeofday ()\n") ]
   in
-  check_findings "direct impurity is a one-hop chain"
-    [ (Rule.L10, 1) ] findings;
+  (* The same reference is also a per-reference L2 hit: one pass, two
+     rules, two findings on the line. *)
+  check_findings "direct impurity is a one-hop chain beside L2"
+    [ (Rule.L10, 1); (Rule.L2, 1) ]
+    findings;
   Alcotest.(check bool) "single-hop chain format" true
     (contains (List.hd findings).Lint.message
        "Fake_tour.now -> Unix.gettimeofday");
-  check_findings "allow marker silences L10" []
+  check_findings "allow marker silences L10 and only L10" [ (Rule.L2, 1) ]
     (sem_findings
        [
          ( "lib/euler/fake_tour.ml",
@@ -551,11 +604,8 @@ let factory_src =
   \  deliver\n"
 
 let test_l12_nested_let_blind_spot () =
-  (* Pinned blind spot #2: the lexical tracker only follows column-0
-     bindings, so a hot function bound by a nested [let] under a cold
-     factory hides its allocation from L8. *)
-  check_findings "lexical pass is blind to the nested binding" []
-    (Lint.scan_source ~file:"lib/runtime/fake_factory.ml" factory_src);
+  (* Pinned blind spot #2: a hot function bound by a nested [let] under a
+     cold factory, invisible to a tracker of column-0 bindings. *)
   let findings =
     sem_findings [ ("lib/runtime/fake_factory.ml", factory_src) ]
   in
@@ -565,45 +615,39 @@ let test_l12_nested_let_blind_spot () =
     (contains msg "Array.make" && contains msg "deliver")
 
 let test_l12_matches_l8_on_flat_code () =
-  (* The differential between the passes is itself a test: on column-0
-     code the AST rule must agree line-for-line with the lexical one. *)
-  let src_lines =
-    [
-      "(* cc_lint: hot deliver scatter *)";
-      "let create n = Array.make n 0";
-      "let deliver t =";
-      "  let tbl = Hashtbl.create 16 in";
-      "  ignore tbl;";
-      "  Array.make 4 0";
-      "let cold () = Bytes.create 8";
-      "and scatter () = Bytes.create 8";
-    ]
+  (* On column-0 code L12 reports exactly the sites the retired lexical
+     rule L8 did: only inside functions the marker names, wherever the
+     marker sits, including [and]-bound ones. *)
+  let src =
+    String.concat "\n"
+      [
+        "(* cc_lint: hot deliver scatter *)";
+        "let create n = Array.make n 0";
+        "let deliver t =";
+        "  let tbl = Hashtbl.create 16 in";
+        "  ignore tbl;";
+        "  Array.make 4 0";
+        "let cold () = Bytes.create 8";
+        "and scatter () = Bytes.create 8";
+      ]
   in
-  let file = "lib/runtime/fake_kernel.ml" in
-  let src = String.concat "\n" src_lines ^ "\n" in
-  let lexical =
-    List.map
-      (fun (f : Lint.finding) -> f.line)
-      (Lint.scan_source ~file src)
-  in
-  let semantic =
-    List.map (fun (f : Lint.finding) -> f.line) (sem_findings [ (file, src) ])
-  in
-  Alcotest.(check (list int)) "same allocation sites" lexical semantic;
-  check_findings "semantic findings carry L12"
+  check_findings "allocation sites in hot functions"
     [ (Rule.L12, 4); (Rule.L12, 6); (Rule.L12, 8) ]
-    (sem_findings [ (file, src) ])
+    (sem_findings [ ("lib/runtime/fake_kernel.ml", src) ]);
+  check_findings "no marker, no findings" []
+    (sem_findings
+       [
+         ("lib/runtime/fake_kernel.ml", "let deliver t = Hashtbl.create 16\n");
+       ])
 
-let test_l12_honors_l8_allow () =
+let test_l12_allow () =
   let with_marker marker =
     Printf.sprintf
       "(* cc_lint: hot deliver *)\nlet deliver t = Array.make t 0 (* cc_lint: \
        allow %s *)\n"
       marker
   in
-  check_findings "legacy allow L8 markers keep working" []
-    (sem_findings [ ("lib/runtime/fake_kernel.ml", with_marker "L8") ]);
-  check_findings "allow L12 works too" []
+  check_findings "allow L12 silences the finding" []
     (sem_findings [ ("lib/runtime/fake_kernel.ml", with_marker "L12") ]);
   check_findings "unrelated allow id keeps the finding"
     [ (Rule.L12, 2) ]
@@ -671,8 +715,7 @@ let semantic_suite =
       test_l12_nested_let_blind_spot;
     Alcotest.test_case "L12: agrees with L8 on flat code" `Quick
       test_l12_matches_l8_on_flat_code;
-    Alcotest.test_case "L12: honors legacy allow L8" `Quick
-      test_l12_honors_l8_allow;
+    Alcotest.test_case "L12: allow suppression" `Quick test_l12_allow;
     Alcotest.test_case "parse errors are collected, not fatal" `Quick
       test_parse_errors_are_collected;
     Alcotest.test_case "JSON round-trips through Metrics.Json" `Quick
