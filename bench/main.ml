@@ -763,10 +763,10 @@ let e8_ablations () =
 
 (* Kernel-throughput microbenchmark: a synthetic all-to-all workload (every
    node sends a 1-word payload to every other node at the default width 2)
-   driven through both delivery engines. The deterministic series asserts
-   the engines bit-identical (inboxes, words, rounds) and records the
-   counters; the wall-clock comparison lands in the Bechamel section below
-   ("e9-arena-n<k>" vs "e9-legacy-n<k>") and in BENCH_E9.json. *)
+   driven through the arena delivery kernel. The deterministic series
+   records words, rounds and the arena counters; the wall-clock numbers
+   land in the Bechamel section below ("e9-arena-n<k>") and in
+   BENCH_E9.json. *)
 
 let e9_rounds = 8
 
@@ -774,7 +774,7 @@ let e9_sizes = sizes ~full:[ 64; 128; 256; 512; 1024 ] ~reduced:[ 64; 128; 256 ]
 
 (* Outboxes are built once and reused across rounds, so the measurement is
    delivery, not workload construction. Payload arrays are shared by
-   reference on both paths (neither kernel copies). *)
+   reference (the kernel never copies them). *)
 let e9_outboxes n =
   Array.init n (fun v ->
       List.filter_map
@@ -783,32 +783,23 @@ let e9_outboxes n =
 
 let e9_kernel () =
   header
-    "E9 | kernel throughput - arena vs legacy delivery on all-to-all \
-     exchange (1-word payloads, width 2)";
+    "E9 | kernel throughput - arena delivery on all-to-all exchange \
+     (1-word payloads, width 2)";
   let reg = Metrics.create () in
-  Printf.printf "%6s %10s %10s %8s %8s\n" "n" "msgs/rnd" "words" "rounds"
-    "equal";
+  Printf.printf "%6s %10s %10s %8s\n" "n" "msgs/rnd" "words" "rounds";
   let rows =
     List.map
       (fun n ->
         let outboxes = e9_outboxes n in
         let arena = Clique.Sim.create ~kernel:Clique.Sim.Arena n in
-        let legacy = Clique.Sim.create ~kernel:Clique.Sim.Legacy n in
-        let equal = ref true in
         for _ = 1 to e9_rounds do
-          let a = Clique.Sim.exchange arena outboxes in
-          let l = Clique.Sim.exchange legacy outboxes in
-          equal := !equal && a = l
+          ignore (Clique.Sim.exchange arena outboxes)
         done;
-        assert !equal;
-        assert (Clique.Sim.words_sent arena = Clique.Sim.words_sent legacy);
-        assert (Clique.Sim.rounds arena = Clique.Sim.rounds legacy);
         let words = Clique.Sim.words_sent arena in
-        Printf.printf "%6d %10d %10d %8d %8s\n" n
+        Printf.printf "%6d %10d %10d %8d\n" n
           (n * (n - 1))
           words
-          (Clique.Sim.rounds arena)
-          (if !equal then "yes" else "NO");
+          (Clique.Sim.rounds arena);
         row reg
           ~key:(Printf.sprintf "n=%d" n)
           ~params:[ ("n", J.Int n) ]
@@ -823,11 +814,10 @@ let e9_kernel () =
       e9_sizes
   in
   experiment ~id:"E9"
-    ~title:
-      "kernel throughput - arena vs legacy delivery on all-to-all exchange"
+    ~title:"kernel throughput - arena delivery on all-to-all exchange"
     ~note:
-      "rows assert the two kernels bit-identical (inboxes, words, rounds); \
-       the wall_clock section carries the arena-vs-legacy comparison"
+      "rows pin words, rounds and the arena counters; the wall_clock \
+       section carries the arena's time per round"
     reg
     [ { s_name = "all-to-all"; s_seed = 0L; s_rows = rows } ]
 
@@ -1027,8 +1017,8 @@ let e11_models () =
     List.concat_map
       (fun n ->
         let g = Gen.connected_gnp ~seed:11L n 0.3 in
-        (* Explicit arena kernel so the row is CC_KERNEL/CC_SHARDS-proof;
-           E9/E10 already pin all delivery engines bit-identical. *)
+        (* Explicit arena kernel so the row is CC_SHARDS-proof; E10
+           already pins the delivery engines bit-identical. *)
         let measure name fu fb =
           let urt =
             Clique.Kernel.On_sim.create
@@ -1519,17 +1509,14 @@ let wall_clock () =
       (Staged.stage (fun () -> ignore (Sparsify.Bss.sparsify ~d:6 g)))
   in
   let e9 =
-    (* One persistent sim per (kernel, n): the arena's whole point is buffer
-       reuse across rounds, so the measured loop is exchange alone. *)
-    List.concat_map
+    (* One persistent sim per n: the arena's whole point is buffer reuse
+       across rounds, so the measured loop is exchange alone. *)
+    List.map
       (fun n ->
         let outboxes = e9_outboxes n in
-        let mk kernel kname =
-          let sim = Clique.Sim.create ~kernel n in
-          Test.make ~name:(Printf.sprintf "e9-%s-n%d" kname n)
-            (Staged.stage (fun () -> ignore (Clique.Sim.exchange sim outboxes)))
-        in
-        [ mk Clique.Sim.Arena "arena"; mk Clique.Sim.Legacy "legacy" ])
+        let sim = Clique.Sim.create ~kernel:Clique.Sim.Arena n in
+        Test.make ~name:(Printf.sprintf "e9-arena-n%d" n)
+          (Staged.stage (fun () -> ignore (Clique.Sim.exchange sim outboxes))))
       e9_sizes
   in
   let e10 =
@@ -1620,18 +1607,6 @@ let () =
     [ x1; x2; x3; x4; x5; x6; x7; x8; x9; x10; x11; x12; x13 ]
   in
   let wall = wall_clock () in
-  (* E9 headline: arena-vs-legacy speedup at the largest size measured. *)
-  let biggest = List.fold_left max 0 e9_sizes in
-  (match
-     ( List.assoc_opt (Printf.sprintf "e9-arena-n%d" biggest) wall,
-       List.assoc_opt (Printf.sprintf "e9-legacy-n%d" biggest) wall )
-   with
-  | Some a, Some l when a > 0. ->
-    Printf.printf
-      "\nE9: arena delivery %.2fx vs legacy at n=%d (%.2f us vs %.2f us per \
-       round)\n"
-      (l /. a) biggest (a /. 1e3) (l /. 1e3)
-  | _ -> ());
   let paths = List.map (fun x -> write_bench x ~wall_clock:wall) experiments in
   Printf.printf "\ntelemetry: wrote %s (schema v1, mode=%s)\n"
     (String.concat " " paths) mode;

@@ -1,7 +1,7 @@
 type t = {
   graph : Graph.t;
   neighbors : (int, unit) Hashtbl.t array;
-  arena : Runtime.Arena.t option;
+  arena : Runtime.Arena.t;
   mutable rounds : int;
   mutable words_sent : int;
 }
@@ -10,7 +10,7 @@ exception Not_an_edge of { src : int; dst : int }
 
 let name = "congest"
 
-let create ?kernel graph =
+let create graph =
   let n = Graph.n graph in
   let neighbors = Array.init n (fun _ -> Hashtbl.create 4) in
   Array.iter
@@ -18,16 +18,8 @@ let create ?kernel graph =
       Hashtbl.replace neighbors.(e.Graph.u) e.Graph.v ();
       Hashtbl.replace neighbors.(e.Graph.v) e.Graph.u ())
     (Graph.edges graph);
-  let kernel =
-    match kernel with Some k -> k | None -> Sim.default_kernel ()
-  in
-  let arena =
-    match kernel with
-    (* Sharded execution is clique-only; a CONGEST instance created under a
-       shard default runs in-process on the arena kernel. *)
-    | Sim.Arena | Sim.Shard -> Some (Runtime.Arena.create ~n ())
-    | Sim.Legacy -> None
-  in
+  (* Sharded execution is clique-only: CONGEST always runs in-process. *)
+  let arena = Runtime.Arena.create ~n () in
   { graph; neighbors; arena; rounds = 0; words_sent = 0 }
 
 let graph t = t.graph
@@ -49,9 +41,7 @@ let unicast = true
 
 let exchange ?(width = 2) t outboxes =
   let inboxes, words =
-    match t.arena with
-    | Some arena -> Runtime.Arena.deliver arena ~width ~check:(check t) outboxes
-    | None -> Runtime.Mailbox.deliver ~n:(n t) ~width ~check:(check t) outboxes
+    Runtime.Arena.deliver t.arena ~width ~check:(check t) outboxes
   in
   t.words_sent <- t.words_sent + words;
   t.rounds <- t.rounds + 1;
@@ -81,8 +71,7 @@ let charge t r =
   if r < 0 then invalid_arg "Congest.charge: negative rounds";
   t.rounds <- t.rounds + r
 
-let stats t =
-  match t.arena with Some a -> Runtime.Arena.stats a | None -> []
+let stats t = Runtime.Arena.stats t.arena
 
 (* The same node programs the clique kernel runs, instantiated over this
    transport (the functor is applied on a local alias; only plain arrays

@@ -7,8 +7,9 @@
 
     Like {!Sim}, this module is a {!Runtime.TRANSPORT} instance: delivery
     and bandwidth checks are shared with the clique kernel through
-    {!Runtime.Mailbox} (at most [width] words per edge per direction per
-    round); the only difference is the edge check. *)
+    {!Runtime.Arena} and {!Runtime.Mailbox} (at most [width] words per
+    edge per direction per round); the only difference is the edge
+    check. *)
 
 type t
 (** A CONGEST session: the graph topology plus the shared delivery core. *)
@@ -19,10 +20,10 @@ exception Not_an_edge of { src : int; dst : int }
 val name : string
 (** ["congest"]. *)
 
-val create : ?kernel:Sim.kernel -> Graph.t -> t
-(** One node per vertex; links are exactly the graph's edges. [kernel]
-    (default {!Sim.default_kernel}) picks the arena or legacy delivery
-    engine, exactly as in {!Sim.create}. *)
+val create : Graph.t -> t
+(** One node per vertex; links are exactly the graph's edges. Delivery
+    runs in-process on a {!Runtime.Arena} sized here, whatever
+    {!Sim.default_kernel} says: sharded execution is clique-only. *)
 
 val graph : t -> Graph.t
 (** The topology the session was created on. *)
@@ -63,7 +64,7 @@ val charge : t -> int -> unit
 (** Advance the round counter without communication ([r ≥ 0]). *)
 
 val stats : t -> (string * int) list
-(** The arena's [kernel.arena.*] counters; empty on the legacy kernel. *)
+(** The arena's [kernel.arena.*] counters. *)
 
 val bfs : t -> int -> int array
 (** Distributed BFS by flooding — the generic {!Programs.Make} program run

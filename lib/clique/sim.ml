@@ -1,12 +1,9 @@
-type kernel = Arena | Legacy | Shard
+type kernel = Arena | Shard
 
-type engine =
-  | Local of Runtime.Arena.t option  (** [Some] = arena, [None] = legacy *)
-  | Sharded of Socket.t
+type engine = Local of Runtime.Arena.t | Sharded of Socket.t
 
 type t = {
   n : int;
-  kernel : kernel;
   engine : engine;
   mutable rounds : int;
   mutable words_sent : int;
@@ -23,13 +20,7 @@ let set_default_kernel k = forced_kernel := k
 let default_kernel () =
   match !forced_kernel with
   | Some k -> k
-  | None -> (
-    match Sys.getenv_opt "CC_KERNEL" with
-    | Some "legacy" -> Legacy
-    | Some "shard" -> Shard
-    | Some "arena" -> Arena
-    | Some _ | None ->
-      if Runtime.Shard.default_shards () > 1 then Shard else Arena)
+  | None -> if Runtime.Shard.default_shards () > 1 then Shard else Arena
 
 let create ?kernel n =
   if n <= 0 then invalid_arg "Sim.create: need n > 0";
@@ -38,15 +29,12 @@ let create ?kernel n =
   in
   let engine =
     match kernel with
-    | Arena -> Local (Some (Runtime.Arena.create ~n ()))
-    | Legacy -> Local None
+    | Arena -> Local (Runtime.Arena.create ~n ())
     | Shard -> Sharded (Socket.create n)
   in
-  { n; kernel; engine; rounds = 0; words_sent = 0 }
+  { n; engine; rounds = 0; words_sent = 0 }
 
 let n t = t.n
-
-let kernel_of t = t.kernel
 
 let rounds t =
   match t.engine with Sharded s -> Socket.rounds s | Local _ -> t.rounds
@@ -61,17 +49,11 @@ let default_width = 2
 
 let unicast = true
 
-let deliver t ~width outboxes =
-  match t.engine with
-  | Local (Some arena) -> Runtime.Arena.deliver arena ~width outboxes
-  | Local None -> Runtime.Mailbox.deliver ~n:t.n ~width outboxes
-  | Sharded _ -> assert false
-
 let exchange ?(width = default_width) t outboxes =
   match t.engine with
   | Sharded s -> Socket.exchange ~width s outboxes
-  | Local _ ->
-    let inboxes, words = deliver t ~width outboxes in
+  | Local arena ->
+    let inboxes, words = Runtime.Arena.deliver arena ~width outboxes in
     t.words_sent <- t.words_sent + words;
     t.rounds <- t.rounds + 1;
     inboxes
@@ -104,6 +86,5 @@ let session t = match t.engine with Sharded s -> Some s | Local _ -> None
 
 let stats t =
   match t.engine with
-  | Local (Some a) -> Runtime.Arena.stats a
-  | Local None -> []
+  | Local a -> Runtime.Arena.stats a
   | Sharded s -> Socket.stats s

@@ -15,12 +15,11 @@
 type t
 (** A clique session: delivery state, round counter, word counter. *)
 
-type kernel = Arena | Legacy | Shard
+type kernel = Arena | Shard
 (** Which delivery engine [exchange] runs on. [Arena] (the default) is the
-    reusable-buffer counting-sort kernel of {!Runtime.Arena}; [Legacy] is
-    the list-and-[Hashtbl] {!Runtime.Mailbox.deliver} path; [Shard] is the
-    multi-process socket transport of {!Socket}, forking
-    [Runtime.Shard.default_shards] workers at [create]. All three are
+    in-process reusable-buffer counting-sort kernel of {!Runtime.Arena};
+    [Shard] is the multi-process socket transport of {!Socket}, forking
+    [Runtime.Shard.default_shards] workers at [create]. Both are
     bit-identical in rounds, words, inbox contents, errors, and sanitizer
     transcripts — the differential suite [test_kernel_equiv] holds them to
     that. *)
@@ -46,8 +45,7 @@ val create : ?kernel:kernel -> int -> t
 
 val default_kernel : unit -> kernel
 (** The kernel [create] picks when [?kernel] is omitted: the value forced
-    by {!set_default_kernel} if any, else what [CC_KERNEL] names
-    ([legacy], [shard], [arena]); with no such forcing, [Shard] when
+    by {!set_default_kernel} if any; otherwise [Shard] when
     [Runtime.Shard.default_shards () > 1] (i.e. [CC_SHARDS] asks for a
     multi-process run), else [Arena]. *)
 
@@ -55,9 +53,6 @@ val set_default_kernel : kernel option -> unit
 (** Force (or, with [None], unforce) the {!default_kernel} result — the
     test-suite hook for running whole charged pipelines on a chosen
     kernel, overriding the environment. *)
-
-val kernel_of : t -> kernel
-(** The kernel this instance was created on. *)
 
 val n : t -> int
 
@@ -110,10 +105,10 @@ val charge : t -> int -> unit
 
 val session : t -> Socket.t option
 (** The socket session behind a [Shard]-kernel instance ([None] on the
-    in-process kernels) — the hook tests use to close sessions or kill
+    arena kernel) — the hook tests use to close sessions or kill
     workers deliberately. *)
 
 val stats : t -> (string * int) list
-(** The arena's [kernel.arena.*] counters ({!Runtime.Arena.stats}); the
-    socket transport's [wire.*]/[shard.*] counters on the [Shard] kernel;
-    empty on the legacy kernel. *)
+(** The arena's [kernel.arena.*] counters ({!Runtime.Arena.stats}), or the
+    socket transport's [wire.*]/[shard.*] counters on the [Shard]
+    kernel. *)

@@ -5,8 +5,8 @@
 type t = {
   n : int;
   (* Flat message table, in arrival order (src ascending, outbox order).
-     [pay] stores references to the senders' payload arrays — the legacy
-     path shares them with receivers too, so no words are copied. *)
+     [pay] stores references to the senders' payload arrays, shared with
+     the receivers, so no words are copied. *)
   mutable cap : int;
   mutable src : int array;
   mutable dst : int array;
@@ -34,19 +34,9 @@ type t = {
 
 let no_payload : int array = [||]
 
-let dense_threshold_default () =
-  match Sys.getenv_opt "CC_DENSE_WIDTH_MAX" with
-  | Some s -> ( match int_of_string_opt s with Some v when v > 0 -> v | _ -> 1024)
-  | None -> 1024
-
-let create ?dense_threshold ~n () =
+let create ?(dense_threshold = 1024) ~n () =
   if n <= 0 then invalid_arg "Arena.create: need n > 0";
-  let threshold =
-    match dense_threshold with
-    | Some v -> v
-    | None -> dense_threshold_default ()
-  in
-  let dense = n <= threshold in
+  let dense = n <= dense_threshold in
   let cap = 64 in
   {
     n;
@@ -120,8 +110,9 @@ let deliver t ~width ?check outboxes =
   Array.fill t.counts 0 t.n 0;
   let words = ref 0 in
   (* Pass 1: validate, width-account, and append to the flat message table
-     in arrival order — the same order the legacy path walks, so errors
-     fire at the identical message with identical fields. *)
+     in arrival order, so errors fire at the first offending message of
+     the (src, outbox position) walk — the order the shard transport
+     reproduces too. *)
   let n = t.n in
   for s = 0 to n - 1 do
     List.iter
@@ -173,8 +164,8 @@ let deliver t ~width ?check outboxes =
   done;
   (* Pass 3: materialize the inboxes (the result escapes, so the array and
      list spines are the only fresh allocations). Consing the slice
-     front-to-back reverses it — exactly the order the legacy path's
-     repeated cons produced. *)
+     front-to-back reverses it, so each inbox lists its messages in reverse
+     arrival order. *)
   let inboxes = Array.make n [] in (* cc_lint: allow L12 — escapes to the caller *)
   for d = 0 to n - 1 do
     let lo = t.starts.(d) and hi = t.starts.(d + 1) in

@@ -30,40 +30,6 @@ let () =
            src dst words width phase)
     | _ -> None)
 
-let deliver ~n ~width ?check outboxes =
-  if Array.length outboxes <> n then
-    invalid_arg "Mailbox.deliver: outbox array length mismatch";
-  let inboxes = Array.make n [] in
-  let pair_words = Hashtbl.create 64 in
-  let words = ref 0 in
-  Array.iteri
-    (fun src msgs ->
-      List.iter
-        (fun (dst, payload) ->
-          if dst < 0 || dst >= n then
-            invalid_arg
-              (Printf.sprintf
-                 "Mailbox.deliver: destination %d out of range (src=%d, \
-                  phase=%S, width=%d)"
-                 dst src !context width);
-          (match check with Some f -> f ~src ~dst | None -> ());
-          let w = Array.length payload in
-          (* Int key: a boxed (src, dst) tuple here allocated (and hashed
-             structurally) once per message on the hot path. *)
-          let key = (src * n) + dst in
-          let cur = try Hashtbl.find pair_words key with Not_found -> 0 in
-          let total = cur + w in
-          if total > width then
-            raise
-              (Bandwidth_exceeded
-                 { src; dst; words = total; width; phase = !context });
-          Hashtbl.replace pair_words key total;
-          words := !words + w;
-          inboxes.(dst) <- (src, payload) :: inboxes.(dst))
-        msgs)
-    outboxes;
-  (inboxes, !words)
-
 let route ~n ~width ?check msgs =
   let sent = Array.make n 0 in
   let received = Array.make n 0 in

@@ -1,8 +1,9 @@
-(** Shared delivery and bandwidth-check core of every {!Transport.S}
-    instance. The kernels ([Sim], [Congest]) differ only in which ordered
-    pairs may talk — expressed through the [?check] callback — and in how
-    they count rounds; the per-pair word accounting, load computation, and
-    batching arithmetic live here exactly once. *)
+(** The bandwidth-check core shared by every {!Transport.S} instance: the
+    {!Bandwidth_exceeded} error, the phase context delivery errors name,
+    and the routing and broadcast arithmetic. Per-round unicast delivery
+    lives in {!Arena}; the kernels ([Sim], [Congest]) differ only in which
+    ordered pairs may talk — expressed through the [?check] callback — and
+    in how they count rounds. *)
 
 exception
   Bandwidth_exceeded of {
@@ -27,18 +28,6 @@ val set_context : string -> unit
 val current_context : unit -> string
 (** The phase last recorded with {!set_context} (phase-scoped fault
     schedules read it to decide whether a rule applies). *)
-
-val deliver :
-  n:int ->
-  width:int ->
-  ?check:(src:int -> dst:int -> unit) ->
-  (int * int array) list array ->
-  (int * int array) list array * int
-(** [deliver ~n ~width outboxes] performs one round's worth of delivery:
-    validates destinations, runs [check] on every (src, dst) pair (the hook
-    where [Congest] rejects non-edges), enforces that the words accumulated
-    over each ordered pair stay ≤ [width], and returns
-    [(inboxes, total_words)]. *)
 
 val route :
   n:int ->

@@ -1,7 +1,7 @@
 (* Communication-model selector: unicast clique vs broadcast congested
    clique (FV22, arXiv:2205.12059). The charged pipelines take the model
    as a value; transports declare their width rule via [Transport.S.unicast].
-   Selection precedence mirrors the other runtime knobs (CC_KERNEL,
+   Selection precedence mirrors the other runtime knobs (CC_SHARDS,
    CC_DOMAINS): forced override first, then the environment. *)
 
 type t = Unicast | Broadcast

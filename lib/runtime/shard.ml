@@ -273,7 +273,7 @@ let compare_gidx a b = compare a.gidx b.gidx
 
 (* Merge the worker's inbound message lists (each gidx-ascending) into one
    gidx-ascending stream. gidx order equals (src, outbox position) order —
-   the exact walk order of [Mailbox.deliver] and [Arena.deliver]. *)
+   the exact walk order of [Arena.deliver]. *)
 let merge_inbound lists = List.sort compare_gidx (List.concat lists)
 
 type overflow = { gidx : int; src : int; dst : int; words : int; width : int }

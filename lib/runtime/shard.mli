@@ -154,7 +154,7 @@ val split_exchange :
   split
 (** Coordinator-side split of one round's outboxes by source shard.
     Raises [Invalid_argument] on an outbox array length mismatch (same
-    message as [Mailbox.deliver]). *)
+    message as [Arena.deliver]). *)
 
 val partition_by_dst : owner:int array -> shards:int -> msg list -> msg list array
 (** Worker-side regrouping of its own sources' messages by destination

@@ -4,10 +4,9 @@
 
     Two instances live in [lib/clique]: [Sim] (the congested clique itself —
     all ordered pairs may talk) and [Congest] (the topology-restricted
-    sibling — messages only along graph edges). Both enforce bandwidth
-    through the shared {!Mailbox} and raise
-    {!Mailbox.Bandwidth_exceeded} when a round would carry more than
-    [width] words over one ordered pair. *)
+    sibling — messages only along graph edges). Both deliver through
+    {!Arena} and raise {!Mailbox.Bandwidth_exceeded} when a round would
+    carry more than [width] words over one ordered pair. *)
 
 module type S = sig
   type t

@@ -1,13 +1,15 @@
-(* The kernel differential suite: the arena message kernel, the
-   domain-parallel round execution, and the multi-process socket transport
-   must be bit-identical to the legacy sequential path — same rounds, same
-   words, same inbox lists, same sanitizer transcript hashes (shape and
-   content), same errors — across real workloads, every domain count, and
-   every shard count. Runs standalone so CI can sweep the environment:
+(* The kernel differential suite. The arena message kernel is held to a
+   naive reference delivery written in this file, on fixed workloads and
+   on randomized rounds; then the domain-parallel round execution and the
+   multi-process socket transport must be bit-identical to the sequential
+   arena — same rounds, same words, same inbox lists, same sanitizer
+   transcript hashes (shape and content), same errors — across real
+   workloads, every domain count, and every shard count. Runs standalone
+   so CI can sweep the environment:
 
      CC_DOMAINS=4 dune exec test/test_kernel_equiv.exe
-     CC_KERNEL=legacy dune exec test/test_kernel_equiv.exe
-     CC_SHARDS=2 dune exec test/test_kernel_equiv.exe *)
+     CC_SHARDS=2 dune exec test/test_kernel_equiv.exe
+     CC_MODEL=broadcast dune exec test/test_kernel_equiv.exe *)
 
 module San = Runtime.Sanitize
 module A = Runtime.Arena
@@ -36,8 +38,8 @@ let ring k =
   let ids = Array.init k (fun i -> (i * 53) + 2) in
   (ids, succ, pred)
 
-(* Every configuration the suite must prove equivalent: the two in-process
-   delivery engines crossed with 1, 2 and 4 domains, plus the loopback
+(* Every configuration the suite must prove equivalent: the in-process
+   arena crossed with 1, 2 and 4 domains, plus the loopback
    socket transport crossed over CC_SHARDS in {1,2,4} x CC_DOMAINS in
    {1,2} (the domain pool applies per shard there). Creating a socket
    session joins all live domain pools before forking; later in-process
@@ -48,9 +50,6 @@ let configs =
     (Clique.Sim.Arena, 1, 1);
     (Clique.Sim.Arena, 2, 1);
     (Clique.Sim.Arena, 4, 1);
-    (Clique.Sim.Legacy, 1, 1);
-    (Clique.Sim.Legacy, 2, 1);
-    (Clique.Sim.Legacy, 4, 1);
     (Clique.Sim.Shard, 1, 1);
     (Clique.Sim.Shard, 2, 1);
     (Clique.Sim.Shard, 1, 2);
@@ -62,7 +61,6 @@ let configs =
 let config_name (k, d, s) =
   match k with
   | Clique.Sim.Arena -> Printf.sprintf "arena/domains=%d" d
-  | Clique.Sim.Legacy -> Printf.sprintf "legacy/domains=%d" d
   | Clique.Sim.Shard -> Printf.sprintf "shard/shards=%d/domains=%d" s d
 
 let with_config (kernel, domains, shards) f =
@@ -192,6 +190,44 @@ let test_chaos_equivalent () =
           ref_events events)
       rest
 
+(* ------------------------------------------------ reference delivery *)
+
+(* The oracle for the arena: a naive list-and-Hashtbl walk of one round.
+   Messages are visited in arrival order (source ascending, then outbox
+   order); each is range-checked, then its words are added to its ordered
+   pair's running total, which may not exceed [width]; an accepted message
+   is consed onto its destination's inbox. Errors carry the kernel's exact
+   strings and fields. *)
+let reference_deliver ~n ~width outboxes =
+  if Array.length outboxes <> n then
+    invalid_arg "Mailbox.deliver: outbox array length mismatch";
+  let phase = M.current_context () in
+  let inboxes = Array.make n [] in
+  let pair_words = Hashtbl.create 64 in
+  let words = ref 0 in
+  Array.iteri
+    (fun src msgs ->
+      List.iter
+        (fun (dst, payload) ->
+          if dst < 0 || dst >= n then
+            invalid_arg
+              (Printf.sprintf
+                 "Mailbox.deliver: destination %d out of range (src=%d, \
+                  phase=%S, width=%d)"
+                 dst src phase width);
+          let w = Array.length payload in
+          let total =
+            w + Option.value ~default:0 (Hashtbl.find_opt pair_words (src, dst))
+          in
+          if total > width then
+            raise (M.Bandwidth_exceeded { src; dst; words = total; width; phase });
+          Hashtbl.replace pair_words (src, dst) total;
+          words := !words + w;
+          inboxes.(dst) <- (src, payload) :: inboxes.(dst))
+        msgs)
+    outboxes;
+  (inboxes, !words)
+
 (* ------------------------------------------------- direct arena parity *)
 
 let inboxes_t = Alcotest.(array (list (pair int (array int))))
@@ -209,21 +245,16 @@ let workload k =
           (v, [| 42 |]);
         ])
 
-let deliver_both ?dense_threshold k width outboxes =
-  let arena = A.create ?dense_threshold ~n:k () in
-  let a = A.deliver arena ~width outboxes in
-  let l = M.deliver ~n:k ~width outboxes in
-  (arena, a, l)
-
-let test_arena_matches_mailbox () =
+let test_arena_matches_reference () =
   List.iter
     (fun k ->
       let outboxes = workload k in
-      let _, (ai, aw), (li, lw) = deliver_both k 4 outboxes in
+      let ai, aw = A.deliver (A.create ~n:k ()) ~width:4 outboxes in
+      let ri, rw = reference_deliver ~n:k ~width:4 outboxes in
       Alcotest.check inboxes_t
         (Printf.sprintf "inbox lists identical in order (n=%d)" k)
-        li ai;
-      Alcotest.(check int) "words identical" lw aw)
+        ri ai;
+      Alcotest.(check int) "words identical" rw aw)
     [ 3; 8; 24 ]
 
 let test_arena_sparse_fallback () =
@@ -237,14 +268,15 @@ let test_arena_sparse_fallback () =
     (A.uses_dense_table sparse);
   let d = A.deliver dense ~width:4 outboxes in
   let s = A.deliver sparse ~width:4 outboxes in
-  let l = M.deliver ~n:k ~width:4 outboxes in
-  Alcotest.check inboxes_t "dense == legacy" (fst l) (fst d);
-  Alcotest.check inboxes_t "sparse == legacy" (fst l) (fst s);
-  Alcotest.(check int) "words agree" (snd l) (snd d);
-  Alcotest.(check int) "words agree (sparse)" (snd l) (snd s)
+  let r = reference_deliver ~n:k ~width:4 outboxes in
+  Alcotest.check inboxes_t "dense == reference" (fst r) (fst d);
+  Alcotest.check inboxes_t "sparse == reference" (fst r) (fst s);
+  Alcotest.(check int) "words agree" (snd r) (snd d);
+  Alcotest.(check int) "words agree (sparse)" (snd r) (snd s)
 
 (* Reuse across rounds is the arena's point: same instance, many rounds,
-   including a width bump mid-stream; every round must match legacy. *)
+   including a width bump mid-stream; every round must match the
+   reference. *)
 let test_arena_reuse_across_rounds () =
   let k = 10 in
   let arena = A.create ~n:k () in
@@ -255,7 +287,7 @@ let test_arena_reuse_across_rounds () =
           List.init (r mod 3) (fun i -> ((v + i + 1) mod k, [| r; v; i |])))
     in
     let a = A.deliver arena ~width outboxes in
-    let l = M.deliver ~n:k ~width outboxes in
+    let l = reference_deliver ~n:k ~width outboxes in
     Alcotest.check inboxes_t
       (Printf.sprintf "round %d identical" r)
       (fst l) (fst a);
@@ -264,11 +296,11 @@ let test_arena_reuse_across_rounds () =
   let resets = List.assoc "kernel.arena.resets" (A.stats arena) in
   Alcotest.(check int) "one reset per deliver" 6 resets
 
+let capture f = match f () with v -> Ok v | exception e -> Error e
+
 let exn_to_string = function
   | Ok _ -> "no exception"
   | Error e -> Printexc.to_string e
-
-let capture f = match f () with v -> Ok v | exception e -> Error e
 
 (* Errors must fire at the identical message with identical fields on
    every accounting backend. *)
@@ -282,37 +314,102 @@ let test_arena_error_parity () =
   let out_of_range = [| [ (k, [| 1 |]) ]; []; []; []; []; []; []; [] |] in
   List.iter
     (fun (what, outboxes, width) ->
-      let legacy = capture (fun () -> M.deliver ~n:k ~width outboxes) in
+      let expected =
+        capture (fun () -> reference_deliver ~n:k ~width outboxes)
+      in
       List.iter
         (fun (backend, dense_threshold) ->
           let arena = A.create ~dense_threshold ~n:k () in
           let got = capture (fun () -> A.deliver arena ~width outboxes) in
           Alcotest.(check string)
-            (Printf.sprintf "%s on %s == legacy" what backend)
-            (exn_to_string legacy) (exn_to_string got))
+            (Printf.sprintf "%s on %s == reference" what backend)
+            (exn_to_string expected) (exn_to_string got))
         [ ("dense", 1024); ("sparse", 0) ])
     [
       ("pair over budget", over, 2);
       ("dst out of range", out_of_range, 2);
     ]
 
-(* The CONGEST edge check runs through the arena's ?check hook; a
-   non-edge must raise identically on every kernel (the Shard selection
-   falls back to the in-process arena for CONGEST instances). *)
+(* Randomized rounds: n in [1, 40], width in [1, 4], up to four messages
+   per node of 0..width words each. A tenth of the destinations are the
+   sender itself and a tenth its successor, so self-messages and repeated
+   pairs are common and pairs go over width by accumulation; one case in
+   ten may also aim a message one past the last node. *)
+let gen_round =
+  let open QCheck2.Gen in
+  let* n = int_range 1 40 in
+  let* width = int_range 1 4 in
+  let* stray = frequency [ (9, pure false); (1, pure true) ] in
+  let dst src =
+    frequency
+      ([ (8, int_bound (n - 1)); (1, pure src); (1, pure ((src + 1) mod n)) ]
+      @ if stray then [ (1, pure n) ] else [])
+  in
+  let outbox src =
+    list_size (int_bound 4)
+      (pair (dst src) (array_size (int_bound width) (int_bound 999)))
+  in
+  let+ outboxes = flatten_a (Array.init n outbox) in
+  (n, width, outboxes)
+
+let print_round =
+  QCheck2.Print.(triple int int (array (list (pair int (array int)))))
+
+(* The arena on both width tables against the reference: same inbox
+   lists (order included) and words, or the same exception string. The
+   dense arena delivers each round twice, so a reset after a round that
+   raised part-way is covered too. The outcome tally proves the generator
+   reaches all three outcomes. *)
+let test_arena_random_rounds () =
+  let seen = Hashtbl.create 3 in
+  let show = Result.map_error Printexc.to_string in
+  let agrees (n, width, outboxes) =
+    let expected = capture (fun () -> reference_deliver ~n ~width outboxes) in
+    Hashtbl.replace seen
+      (match expected with
+      | Ok _ -> "delivered"
+      | Error (M.Bandwidth_exceeded _) -> "over width"
+      | Error _ -> "out of range")
+      ();
+    let expected = show expected in
+    let on arena = show (capture (fun () -> A.deliver arena ~width outboxes)) in
+    let dense = A.create ~n () in
+    let sparse = A.create ~dense_threshold:0 ~n () in
+    on dense = expected && on dense = expected && on sparse = expected
+  in
+  QCheck2.Test.check_exn
+    ~rand:(Random.State.make [| 13 |])
+    (QCheck2.Test.make ~count:250 ~name:"arena == reference"
+       ~print:print_round gen_round agrees);
+  List.iter
+    (fun what ->
+      Alcotest.(check bool) (what ^ " is exercised") true (Hashtbl.mem seen what))
+    [ "delivered"; "over width"; "out of range" ]
+
+(* The CONGEST edge check runs through the arena's ?check hook, and
+   CONGEST always delivers in-process: a non-edge must raise identically
+   whichever clique kernel is the default. *)
 let test_congest_check_parity () =
   let path = Gen.path 4 in
   List.iter
     (fun kernel ->
-      let c = Clique.Congest.create ~kernel path in
+      Clique.Sim.set_default_kernel (Some kernel);
+      let raised =
+        Fun.protect
+          ~finally:(fun () -> Clique.Sim.set_default_kernel None)
+          (fun () ->
+            let c = Clique.Congest.create path in
+            try
+              ignore
+                (Clique.Congest.exchange c [| [ (2, [| 1 |]) ]; []; []; [] |]);
+              false
+            with Clique.Congest.Not_an_edge { src = 0; dst = 2 } -> true)
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "non-edge raises on %s"
+        (Printf.sprintf "non-edge raises under default %s"
            (config_name (kernel, 1, 1)))
-        true
-        (try
-           ignore (Clique.Congest.exchange c [| [ (2, [| 1 |]) ]; []; []; [] |]);
-           false
-         with Clique.Congest.Not_an_edge { src = 0; dst = 2 } -> true))
-    [ Clique.Sim.Arena; Clique.Sim.Legacy; Clique.Sim.Shard ]
+        true raised)
+    [ Clique.Sim.Arena; Clique.Sim.Shard ]
 
 (* ------------------------------------------ broadcast-model equivalence *)
 
@@ -482,8 +579,10 @@ let () =
         ] );
       ( "arena",
         [
-          Alcotest.test_case "deliver matches mailbox" `Quick
-            test_arena_matches_mailbox;
+          Alcotest.test_case "deliver matches reference" `Quick
+            test_arena_matches_reference;
+          Alcotest.test_case "random rounds match reference" `Quick
+            test_arena_random_rounds;
           Alcotest.test_case "dense/sparse width accounting" `Quick
             test_arena_sparse_fallback;
           Alcotest.test_case "reuse across rounds" `Quick

@@ -122,17 +122,17 @@ let test_bandwidth_error_names_context () =
 (* Regression for the per-link accounting key (boxed (src,dst) tuple ->
    src*n+dst int): the budget must accumulate across separate messages on
    the same ordered pair, and the error must name that pair — on both
-   delivery kernels. *)
+   kernels that deliver through the arena: the clique, and CONGEST on the
+   complete graph (where the edge check passes every pair). *)
 let test_bandwidth_accumulates_per_pair () =
   List.iter
-    (fun kernel ->
-      let sim = Clique.Sim.create ~kernel 4 in
+    (fun exchange ->
       (* Two messages 1->3 of 1+2 words: each fits width 2, the pair does
          not. The second message is where the budget trips. *)
       let outboxes = [| []; [ (3, [| 7 |]); (3, [| 8; 9 |]) ]; []; [] |] in
       let fields =
         try
-          ignore (Clique.Sim.exchange sim outboxes);
+          ignore (exchange () outboxes);
           None
         with Runtime.Mailbox.Bandwidth_exceeded
             { src; dst; words; width; phase } ->
@@ -143,14 +143,16 @@ let test_bandwidth_accumulates_per_pair () =
         (Some ((1, 3, 3), (2, "main")))
         fields;
       (* Distinct pairs never share a budget (the int key is injective). *)
-      let sim = Clique.Sim.create ~kernel 4 in
       let inboxes =
-        Clique.Sim.exchange sim
-          [| [ (1, [| 1; 2 |]) ]; [ (2, [| 3; 4 |]) ]; []; [] |]
+        exchange () [| [ (1, [| 1; 2 |]) ]; [ (2, [| 3; 4 |]) ]; []; [] |]
       in
       Alcotest.(check int) "distinct pairs deliver" 1
         (List.length inboxes.(2)))
-    [ Clique.Sim.Arena; Clique.Sim.Legacy ]
+    [
+      (fun () ->
+        Clique.Sim.exchange (Clique.Sim.create ~kernel:Clique.Sim.Arena 4));
+      (fun () -> Clique.Congest.exchange (Clique.Congest.create (Gen.complete 4)));
+    ]
 
 let test_out_of_range_dst_names_context () =
   let rt = K.On_sim.create ~sanitize:false (Clique.Sim.create 3) in

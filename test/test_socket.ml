@@ -14,6 +14,11 @@ module FSock = Fault.Inject.Make (Clique.Socket)
 module RSock = Runtime.Make (Clique.Socket)
 module Rec = Fault.Recover.Make (RSock)
 
+(* The in-process reference every socket round is held to: one delivery
+   on a fresh arena (the kernel [Sim] runs without shards). *)
+let local_deliver ~n ~width out =
+  Runtime.Arena.deliver (Runtime.Arena.create ~n ()) ~width out
+
 (* Watchdog: every supervised wait in the transport is deadline-bounded,
    so the whole suite finishing is itself part of the contract. A stuck
    test is a bug; SIGALRM turns it into a loud failure instead of a CI
@@ -103,7 +108,7 @@ let test_coalescing_all_to_all () =
   let t = Sock.create ~shards:2 n in
   let before = stat "wire.frames" t in
   let out = all_to_all n in
-  let expected, words = M.deliver ~n ~width:2 out in
+  let expected, words = local_deliver ~n ~width:2 out in
   Alcotest.check inboxes_t "inboxes parity" expected (Sock.exchange t out);
   Alcotest.(check int) "frames: 2 requests + 2 replies + 2 mesh" 6
     (stat "wire.frames" t - before);
@@ -122,7 +127,7 @@ let test_coalescing_no_cross_traffic () =
         [ (lo + ((v - lo + 1) mod 4), [| v |]) ])
   in
   let before = stat "wire.frames" t in
-  let expected, _ = M.deliver ~n ~width:2 local in
+  let expected, _ = local_deliver ~n ~width:2 local in
   Alcotest.check inboxes_t "local inboxes parity" expected
     (Sock.exchange t local);
   Alcotest.(check int) "frames: requests + replies only" 4
@@ -144,16 +149,16 @@ let test_width_error_across_processes () =
   bad.(1) <- [ (5, [| 7 |]); (5, [| 8; 9 |]) ];
   bad.(4) <- [ (2, [| 1; 2; 3 |]) ];
   Alcotest.(check string) "same first width error"
-    (capture (fun () -> M.deliver ~n ~width:2 bad))
+    (capture (fun () -> local_deliver ~n ~width:2 bad))
     (capture (fun () -> Sock.exchange t bad));
   let oob = Array.make n [] in
   oob.(3) <- [ (n + 1, [| 1 |]) ];
   Alcotest.(check string) "same range error"
-    (capture (fun () -> M.deliver ~n ~width:2 oob))
+    (capture (fun () -> local_deliver ~n ~width:2 oob))
     (capture (fun () -> Sock.exchange t oob));
   (* an application error leaves the session usable *)
   let out = all_to_all n in
-  let expected, _ = M.deliver ~n ~width:2 out in
+  let expected, _ = local_deliver ~n ~width:2 out in
   Alcotest.check inboxes_t "session survives the error round" expected
     (Sock.exchange t out);
   let values = Array.init n (fun v -> [| v; v * v; v + 7 |]) in
@@ -219,7 +224,7 @@ let test_respawn_bit_identical () =
   in
   let rt = RSock.create t in
   let out = all_to_all n in
-  let reference, _ = M.deliver ~n ~width:2 out in
+  let reference, _ = local_deliver ~n ~width:2 out in
   Alcotest.check inboxes_t "clean round parity" reference
     (RSock.exchange rt out);
   let epoch_before = Sock.epoch t in
@@ -263,7 +268,7 @@ let test_drain_continues_degraded () =
   let n = 9 in
   let t = Sock.create ~shards:3 ~policy:Shard.Drain ~timeout:10.0 n in
   let out = all_to_all n in
-  let reference, _ = M.deliver ~n ~width:2 out in
+  let reference, _ = local_deliver ~n ~width:2 out in
   Alcotest.check inboxes_t "clean round parity" reference (Sock.exchange t out);
   let epoch_before = Sock.epoch t in
   kill_shard t 1;
@@ -284,7 +289,7 @@ let test_drain_continues_degraded () =
   let bad = Array.make n [] in
   bad.(1) <- [ (5, [| 1; 2; 3 |]) ];
   Alcotest.(check string) "degraded width error identical"
-    (capture (fun () -> M.deliver ~n ~width:2 bad))
+    (capture (fun () -> local_deliver ~n ~width:2 bad))
     (capture (fun () -> Sock.exchange t bad));
   Sock.close t
 
@@ -294,7 +299,7 @@ let test_drain_exhaustion_fails () =
   let n = 6 in
   let t = Sock.create ~shards:2 ~policy:Shard.Drain ~timeout:10.0 n in
   let out = all_to_all n in
-  let reference, _ = M.deliver ~n ~width:2 out in
+  let reference, _ = local_deliver ~n ~width:2 out in
   kill_shard t 0;
   Alcotest.check inboxes_t "single survivor delivers" reference
     (Sock.exchange t out);
@@ -328,7 +333,7 @@ let test_heartbeat_probes_and_recovers () =
     (Sock.rounds t);
   Alcotest.(check int) "and no recovery round" 0 (Sock.recovery_rounds t);
   let out = all_to_all n in
-  let reference, _ = M.deliver ~n ~width:2 out in
+  let reference, _ = local_deliver ~n ~width:2 out in
   Alcotest.check inboxes_t "session intact after heartbeat recovery"
     reference (Sock.exchange t out);
   Sock.close t
@@ -383,7 +388,7 @@ let test_remote_worker_joins () =
         [ -1 ]
         (List.filteri (fun i _ -> i = 1) (Sock.pids t));
       let out = all_to_all n in
-      let expected, _ = M.deliver ~n ~width:2 out in
+      let expected, _ = local_deliver ~n ~width:2 out in
       Alcotest.check inboxes_t "mixed local/remote parity" expected
         (Sock.exchange t out);
       let values = Array.init n (fun v -> [| v; v * 3 |]) in
@@ -398,7 +403,7 @@ let test_tcp_leg () =
   let n = 6 in
   let t = Sock.create ~shards:2 ~addr:"127.0.0.1:0" n in
   let out = all_to_all n in
-  let expected, _ = M.deliver ~n ~width:2 out in
+  let expected, _ = local_deliver ~n ~width:2 out in
   Alcotest.check inboxes_t "tcp inboxes parity" expected (Sock.exchange t out);
   let values = Array.init n (fun v -> [| v; v * v |]) in
   Alcotest.(check (array (array int))) "tcp broadcast parity"
@@ -474,7 +479,7 @@ let test_shards_clamped () =
   Alcotest.(check int) "shards clamped to n" 3 (Sock.shards t);
   Alcotest.(check int) "one pid per shard" 3 (List.length (Sock.pids t));
   let out = all_to_all 3 in
-  let expected, _ = M.deliver ~n:3 ~width:2 out in
+  let expected, _ = local_deliver ~n:3 ~width:2 out in
   Alcotest.check inboxes_t "clamped session delivers" expected
     (Sock.exchange t out);
   Sock.close t

@@ -8,7 +8,11 @@ module Frame = Wire.Frame
 module Link = Wire.Link
 module Fnv = Wire.Fnv
 module Shard = Runtime.Shard
-module M = Runtime.Mailbox
+
+(* Single-process delivery on a fresh arena: the reference the shard
+   layer's split and stitch must reproduce. *)
+let local_deliver ~n ~width out =
+  Runtime.Arena.deliver (Runtime.Arena.create ~n ()) ~width out
 
 let frame_fields (f : Frame.t) =
   (f.Frame.kind, f.Frame.src, f.Frame.dst, f.Frame.seq, f.Frame.epoch,
@@ -399,12 +403,13 @@ let test_split_errors_match_mailbox () =
   let n = 8 and shards = 3 and width = 2 in
   let owner = Shard.owners ~shards ~n in
   (* out-of-range destination: the recorded message must be byte-identical
-     to what Mailbox.deliver raises. *)
+     to what in-process delivery raises (the "Mailbox.deliver: ..."
+     strings). *)
   let bad = Array.make n [] in
   bad.(2) <- [ (1, [| 5 |]); (n + 3, [| 6 |]) ];
   let expected =
-    match M.deliver ~n ~width bad with
-    | _ -> Alcotest.fail "mailbox must reject the range"
+    match local_deliver ~n ~width bad with
+    | _ -> Alcotest.fail "the arena must reject the range"
     | exception Invalid_argument m -> m
   in
   (match
@@ -415,8 +420,8 @@ let test_split_errors_match_mailbox () =
   (* outbox length mismatch raises the same Invalid_argument *)
   let short = Array.make (n - 1) [] in
   let expected =
-    match M.deliver ~n ~width short with
-    | _ -> Alcotest.fail "mailbox must reject the length"
+    match local_deliver ~n ~width short with
+    | _ -> Alcotest.fail "the arena must reject the length"
     | exception Invalid_argument m -> m
   in
   Alcotest.(check string) "length message identical" expected
@@ -446,7 +451,7 @@ let test_pipeline_matches_mailbox () =
   let inboxes_t = Alcotest.(array (list (pair int (array int)))) in
   let n = 12 and width = 4 in
   let outboxes = workload n in
-  let reference, _ = M.deliver ~n ~width outboxes in
+  let reference, _ = local_deliver ~n ~width outboxes in
   List.iter
     (fun shards ->
       let owner = Shard.owners ~shards ~n in
@@ -473,7 +478,7 @@ let test_pipeline_matches_mailbox () =
           Array.iteri (fun i box -> stitched.(lo + i) <- box) slices
       done;
       Alcotest.check inboxes_t
-        (Printf.sprintf "stitched slices == mailbox (shards=%d)" shards)
+        (Printf.sprintf "stitched slices == single arena (shards=%d)" shards)
         reference stitched)
     [ 1; 2; 3; 4 ]
 
