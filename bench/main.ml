@@ -11,21 +11,21 @@
       schema-versioned BENCH_E<k>.json (schema: DESIGN.md §8), the input of
       the bin/bench_diff regression gate.
 
-   Environment:
+   Environment (read through Runtime.Config, echoed as "config" into every
+   BENCH file):
    - CC_BENCH_MODE=reduced  shrink every sweep and the Bechamel quota (the
      CI configuration; the committed bench/baseline was produced this way)
    - CC_BENCH_OUT=<dir>     where the BENCH_*.json files go (default ".") *)
 
 module J = Metrics.Json
 
-let reduced =
-  match Sys.getenv_opt "CC_BENCH_MODE" with
-  | Some ("reduced" | "ci") -> true
-  | _ -> false
+let config = Runtime.Config.get ()
+
+let reduced = config.bench_mode = Runtime.Config.Reduced
 
 let mode = if reduced then "reduced" else "full"
 
-let out_dir = Option.value (Sys.getenv_opt "CC_BENCH_OUT") ~default:"."
+let out_dir = config.bench_out
 
 let () =
   (* Create the output directory (and parents) if needed, so pointing
@@ -166,6 +166,7 @@ let write_bench x ~wall_clock =
          ("title", J.String x.x_title);
          ("mode", J.String mode);
          ("git_rev", J.String (git_rev ()));
+         ("config", Runtime.Config.to_json config);
        ]
       @ (match x.x_note with
         | Some n -> [ ("note", J.String n) ]

@@ -175,6 +175,9 @@ let bench_files dir =
   |> List.sort compare
 
 let () =
+  (* Reads no configuration, but a malformed CC_* environment stops every
+     binary alike. *)
+  ignore (Runtime.Config.get ());
   Arg.parse spec (fun p -> paths := p :: !paths) usage;
   match List.rev !paths with
   | [ old_p; new_p ] ->

@@ -34,6 +34,9 @@ let parse_args args =
   if opts.roots = [] then { opts with roots = [ "lib"; "bin" ] } else opts
 
 let () =
+  (* Reads no configuration, but a malformed CC_* environment stops every
+     binary alike. *)
+  ignore (Runtime.Config.get ());
   let args = List.tl (Array.to_list Sys.argv) in
   if List.mem "--help" args || List.mem "-h" args then usage ();
   if List.mem "--rules" args then begin

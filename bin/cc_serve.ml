@@ -5,8 +5,9 @@
      cc_serve --call '<json>'        # one-shot client: send a job, print
                                      # the reply, exit 0 iff ok
 
-   Knobs (env): CC_SERVE_ADDR, CC_SERVE_JOBS, CC_SERVE_CACHE,
-   CC_SERVE_POLICY (none | verify | recover). *)
+   Knobs (env, read through Runtime.Config): CC_SERVE_ADDR, CC_SERVE_JOBS,
+   CC_SERVE_CACHE, CC_SERVE_POLICY (none | verify | recover); the flags
+   override them. *)
 
 let usage () =
   prerr_endline
@@ -19,73 +20,56 @@ let fail msg =
   prerr_endline ("cc_serve: " ^ msg);
   exit 1
 
-type opts = {
-  mutable addr : string option;
-  mutable jobs : int option;
-  mutable cache : int option;
-  mutable policy : string option;
-  mutable call : string option;
-}
+let positive flag v =
+  match int_of_string_opt v with
+  | Some n when n >= 1 -> n
+  | _ -> fail (flag ^ " must be a positive integer, got " ^ v)
 
+(* The configuration with the flags folded over it, and the --call body. *)
 let parse_args () =
-  let o = { addr = None; jobs = None; cache = None; policy = None; call = None } in
-  let rec go = function
-    | [] -> o
-    | "--addr" :: v :: rest ->
-      o.addr <- Some v;
-      go rest
-    | "--jobs" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 ->
-        o.jobs <- Some n;
-        go rest
-      | _ -> fail ("--jobs must be a positive integer, got " ^ v))
-    | "--cache" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 ->
-        o.cache <- Some n;
-        go rest
-      | _ -> fail ("--cache must be a positive integer, got " ^ v))
-    | "--policy" :: v :: rest ->
-      o.policy <- Some v;
-      go rest
-    | "--call" :: v :: rest ->
-      o.call <- Some v;
-      go rest
+  let rec go (c : Runtime.Config.t) call = function
+    | [] -> (c, call)
+    | "--addr" :: v :: rest -> go { c with serve_addr = v } call rest
+    | "--jobs" :: v :: rest ->
+      go { c with serve_jobs = positive "--jobs" v } call rest
+    | "--cache" :: v :: rest ->
+      go { c with serve_cache = positive "--cache" v } call rest
+    | "--policy" :: v :: rest -> go { c with serve_policy = Some v } call rest
+    | "--call" :: v :: rest -> go c (Some v) rest
     | _ -> usage ()
   in
-  go (List.tl (Array.to_list Sys.argv))
+  go (Runtime.Config.get ()) None (List.tl (Array.to_list Sys.argv))
 
 let () =
-  let o = parse_args () in
-  let config =
-    match Serve.Daemon.config_of_env () with
-    | Ok c -> c
-    | Error msg -> fail msg
+  let config, call = parse_args () in
+  let policy =
+    match
+      Serve.Exec.policy_of_string (Option.value config.serve_policy ~default:"")
+    with
+    | Ok p -> p
+    | Error msg ->
+      let flag = List.mem "--policy" (Array.to_list Sys.argv) in
+      fail ((if flag then "--policy: " else "CC_SERVE_POLICY: ") ^ msg)
   in
-  let config =
+  let daemon =
     {
-      config with
-      Serve.Daemon.addr = Option.value o.addr ~default:config.Serve.Daemon.addr;
-      jobs = Option.value o.jobs ~default:config.Serve.Daemon.jobs;
-      cache_cap = Option.value o.cache ~default:config.Serve.Daemon.cache_cap;
-      policy =
-        (match o.policy with
-        | None -> config.Serve.Daemon.policy
-        | Some p -> (
-          match Serve.Exec.policy_of_string p with
-          | Ok p -> p
-          | Error msg -> fail msg));
+      Serve.Daemon.addr = config.serve_addr;
+      jobs = config.serve_jobs;
+      cache_cap = config.serve_cache;
+      policy;
+      max_bytes = 8 * 1024 * 1024;
     }
   in
-  match o.call with
+  (* The stats reply echoes the configuration the daemon actually runs. *)
+  Runtime.Config.with_ config @@ fun () ->
+  match call with
   | Some body ->
     let client =
-      match Serve.Client.connect config.Serve.Daemon.addr with
+      match Serve.Client.connect daemon.addr with
       | c -> c
       | exception Unix.Unix_error (e, _, _) ->
         fail
-          (Printf.sprintf "cannot reach %s: %s" config.Serve.Daemon.addr
+          (Printf.sprintf "cannot reach %s: %s" daemon.addr
              (Unix.error_message e))
     in
     let reply = Serve.Client.request_string client body in
@@ -93,9 +77,8 @@ let () =
     print_endline (Serve.Client.Json.to_string reply);
     exit (if Serve.Client.ok reply then 0 else 1)
   | None ->
-    let t = Serve.Daemon.start config in
+    let t = Serve.Daemon.start daemon in
     Printf.printf "cc_serve: listening on %s (%d workers, cache %d, policy %s)\n%!"
-      (Serve.Daemon.addr t) config.Serve.Daemon.jobs
-      config.Serve.Daemon.cache_cap
-      (Serve.Exec.policy_name config.Serve.Daemon.policy);
+      (Serve.Daemon.addr t) daemon.jobs daemon.cache_cap
+      (Serve.Exec.policy_name daemon.policy);
     Serve.Daemon.wait t

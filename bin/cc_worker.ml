@@ -10,7 +10,7 @@
 let () =
   let addr =
     if Array.length Sys.argv > 1 then Some Sys.argv.(1)
-    else Sys.getenv_opt Clique.Socket.env_addr
+    else (Runtime.Config.get ()).shard_addr
   in
   match addr with
   | Some a -> Clique.Socket.remote_worker a

@@ -5,34 +5,44 @@
      laplacian_cli sparsify --n 100 --density 0.4 --max-weight 16
      laplacian_cli euler    --n 512 --cycles 20
      laplacian_cli maxflow  --layers 4 --width 4 --maxcap 8
-     laplacian_cli mincost  --n 12 --arcs 30 --maxcost 10 *)
+     laplacian_cli mincost  --n 12 --arcs 30 --maxcost 10
+     laplacian_cli mst      --n 100 --density 0.2
 
-open Cmdliner
+   Every command also takes --seed S and --verbose (-v); -n and --vertices
+   are synonyms of --n; `laplacian_cli COMMAND --help` lists its options. *)
 
-let setup_logs verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
+(* Option values, shared by the commands that take them. *)
+let seed = ref 42 and verbose = ref false and n = ref 0 and density = ref 0.2
+let eps = ref 1e-6 and max_weight = ref 8 and cycles = ref 8
+let layers = ref 4 and width = ref 4 and maxcap = ref 8
+let arcs = ref 30 and maxcost = ref 10
 
-let verbose_arg =
-  let doc = "Print per-phase debug traces from the solver pipelines." in
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc)
+let common =
+  [
+    ("--seed", Arg.Set_int seed, "S deterministic workload seed (default 42)");
+    ("--verbose", Arg.Set verbose, " print per-phase debug traces");
+    ("-v", Arg.Set verbose, " same as --verbose");
+  ]
 
-let seed_arg =
-  let doc = "Deterministic workload seed." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc)
-
-let n_arg default =
-  let doc = "Number of vertices." in
-  Arg.(value & opt int default & info [ "n"; "vertices" ] ~doc)
+(* --n/--vertices with the command's default vertex count. *)
+let vertices default =
+  n := default;
+  [
+    ("--n", Arg.Set_int n, Printf.sprintf "N vertices (default %d)" default);
+    ("-n", Arg.Set_int n, "N same as --n");
+    ("--vertices", Arg.Set_int n, "N same as --n");
+  ]
 
 let density_arg =
-  let doc = "Edge density of the generated graph." in
-  Arg.(value & opt float 0.2 & info [ "density" ] ~doc)
+  [ ("--density", Arg.Set_float density, "D edge density (default 0.2)") ]
 
-let run_solve n density eps seed verbose =
-  setup_logs verbose;
-  let g = Core.Gen.weighted_gnp ~seed:(Int64.of_int seed) n density 8 in
+let setup_logs () =
+  Logs.set_reporter (Logs.format_reporter ());
+  Logs.set_level (Some (if !verbose then Logs.Debug else Logs.Warning))
+
+let run_solve () =
+  let n = !n and eps = !eps in
+  let g = Core.Gen.weighted_gnp ~seed:(Int64.of_int !seed) n !density 8 in
   let b = Core.Vec.sub (Core.Vec.basis n 0) (Core.Vec.basis n (n - 1)) in
   let x, r = Core.solve_laplacian ~eps g b in
   Printf.printf "n=%d m=%d eps=%g\n" n (Core.Graph.m g) eps;
@@ -44,17 +54,9 @@ let run_solve n density eps seed verbose =
     (Core.Solver.error_in_l_norm g x b)
     eps
 
-let solve_cmd =
-  let eps =
-    Arg.(value & opt float 1e-6 & info [ "eps" ] ~doc:"Target precision.")
-  in
-  Cmd.v
-    (Cmd.info "solve" ~doc:"Theorem 1.1: deterministic Laplacian solve")
-    Term.(const run_solve $ n_arg 80 $ density_arg $ eps $ seed_arg $ verbose_arg)
-
-let run_sparsify n density u seed verbose =
-  setup_logs verbose;
-  let g = Core.Gen.weighted_gnp ~seed:(Int64.of_int seed) n density u in
+let run_sparsify () =
+  let n = !n and u = !max_weight in
+  let g = Core.Gen.weighted_gnp ~seed:(Int64.of_int !seed) n !density u in
   let r = Core.spectral_sparsifier g in
   let h = r.Core.Sparsifier.sparsifier in
   Printf.printf "n=%d m=%d U=%d\n" n (Core.Graph.m g) u;
@@ -67,17 +69,9 @@ let run_sparsify n density u seed verbose =
     (Core.Quality.approximation_factor g h)
     (Core.Quality.relative_condition g h)
 
-let sparsify_cmd =
-  let u =
-    Arg.(value & opt int 8 & info [ "max-weight" ] ~doc:"Max edge weight U.")
-  in
-  Cmd.v
-    (Cmd.info "sparsify" ~doc:"Theorem 3.3: deterministic spectral sparsifier")
-    Term.(const run_sparsify $ n_arg 100 $ density_arg $ u $ seed_arg $ verbose_arg)
-
-let run_euler n cycles seed verbose =
-  setup_logs verbose;
-  let g = Core.Gen.cycle_union ~seed:(Int64.of_int seed) n cycles in
+let run_euler () =
+  let n = !n in
+  let g = Core.Gen.cycle_union ~seed:(Int64.of_int !seed) n !cycles in
   let r = Core.eulerian_orientation g in
   assert (Core.Orientation.check g r.Core.Orientation.orientation);
   Printf.printf "n=%d m=%d rings=%d\n" n (Core.Graph.m g)
@@ -88,24 +82,15 @@ let run_euler n cycles seed verbose =
     (Core.Orientation.rounds_reference ~n)
     r.Core.Orientation.iterations r.Core.Orientation.coloring_rounds
 
-let euler_cmd =
-  let cycles =
-    Arg.(value & opt int 8 & info [ "cycles" ] ~doc:"Cycles in the union.")
-  in
-  Cmd.v
-    (Cmd.info "euler" ~doc:"Theorem 1.4: Eulerian orientation")
-    Term.(const run_euler $ n_arg 256 $ cycles $ seed_arg $ verbose_arg)
-
-let run_maxflow layers width maxcap seed verbose =
-  setup_logs verbose;
+let run_maxflow () =
   let g =
-    Core.Gen.layered_network ~seed:(Int64.of_int seed) layers width maxcap
+    Core.Gen.layered_network ~seed:(Int64.of_int !seed) !layers !width !maxcap
   in
   let n = Core.Digraph.n g in
   let r = Core.max_flow g ~s:0 ~t:(n - 1) in
   let ff = Core.Ford_fulkerson.max_flow g ~s:0 ~t:(n - 1) in
   let triv = Core.Trivial.max_flow g ~s:0 ~t:(n - 1) in
-  Printf.printf "n=%d m=%d U=%d\n" n (Core.Digraph.m g) maxcap;
+  Printf.printf "n=%d m=%d U=%d\n" n (Core.Digraph.m g) !maxcap;
   Printf.printf "max flow value=%d\n" r.Core.Maxflow.value;
   Printf.printf "IPM:            rounds=%-6d (iterations=%d, repairs=%d)\n"
     r.Core.Maxflow.rounds r.Core.Maxflow.ipm_iterations
@@ -115,24 +100,11 @@ let run_maxflow layers width maxcap seed verbose =
   Printf.printf "Trivial gather: rounds=%-6d\n" triv.Core.Trivial.rounds;
   assert (r.Core.Maxflow.value = ff.Core.Ford_fulkerson.value)
 
-let maxflow_cmd =
-  let layers =
-    Arg.(value & opt int 4 & info [ "layers" ] ~doc:"Network layers.")
+let run_mincost () =
+  let g, sigma =
+    Core.Gen.random_mcf ~seed:(Int64.of_int !seed) !n !arcs !maxcost
   in
-  let width =
-    Arg.(value & opt int 4 & info [ "width" ] ~doc:"Junctions per layer.")
-  in
-  let maxcap =
-    Arg.(value & opt int 8 & info [ "maxcap" ] ~doc:"Max capacity U.")
-  in
-  Cmd.v
-    (Cmd.info "maxflow" ~doc:"Theorem 1.2: exact maximum flow")
-    Term.(const run_maxflow $ layers $ width $ maxcap $ seed_arg $ verbose_arg)
-
-let run_mincost n arcs maxcost seed verbose =
-  setup_logs verbose;
-  let g, sigma = Core.Gen.random_mcf ~seed:(Int64.of_int seed) n arcs maxcost in
-  Printf.printf "n=%d m=%d W=%d\n" n (Core.Digraph.m g) maxcost;
+  Printf.printf "n=%d m=%d W=%d\n" !n (Core.Digraph.m g) !maxcost;
   match Core.min_cost_flow g ~sigma with
   | None -> Printf.printf "instance infeasible\n"
   | Some r ->
@@ -145,20 +117,9 @@ let run_mincost n arcs maxcost seed verbose =
         (Float.abs (oracle.Core.Mcf_ssp.cost -. r.Core.Mincostflow.cost) < 1e-6)
     | None -> assert false)
 
-let mincost_cmd =
-  let arcs =
-    Arg.(value & opt int 30 & info [ "arcs" ] ~doc:"Random arcs to add.")
-  in
-  let maxcost =
-    Arg.(value & opt int 10 & info [ "maxcost" ] ~doc:"Max arc cost W.")
-  in
-  Cmd.v
-    (Cmd.info "mincost" ~doc:"Theorem 1.3: unit-capacity min-cost flow")
-    Term.(const run_mincost $ n_arg 12 $ arcs $ maxcost $ seed_arg $ verbose_arg)
-
-let run_mst n density seed verbose =
-  setup_logs verbose;
-  let g = Core.Gen.connected_gnp ~seed:(Int64.of_int seed) n density in
+let run_mst () =
+  let n = !n in
+  let g = Core.Gen.connected_gnp ~seed:(Int64.of_int !seed) n !density in
   let g =
     Core.Graph.map_weights
       (fun e -> 1. +. float_of_int (((e.Core.Graph.u * 31) + e.Core.Graph.v) mod 23))
@@ -171,15 +132,73 @@ let run_mst n density seed verbose =
     (List.length r.Core.Boruvka.edges)
     r.Core.Boruvka.phases r.Core.Boruvka.rounds n
 
-let mst_cmd =
-  Cmd.v
-    (Cmd.info "mst" ~doc:"Boruvka MST on the message-passing kernel")
-    Term.(const run_mst $ n_arg 100 $ density_arg $ seed_arg $ verbose_arg)
+(* (name, summary, options (built when the command is chosen, so --n
+   gets that command's default), run). *)
+let commands =
+  [
+    ( "solve", "Theorem 1.1: deterministic Laplacian solve",
+      (fun () ->
+        vertices 80 @ density_arg
+        @ [ ("--eps", Arg.Set_float eps, "E target precision (default 1e-6)") ]),
+      run_solve );
+    ( "sparsify", "Theorem 3.3: deterministic spectral sparsifier",
+      (fun () ->
+        vertices 100 @ density_arg
+        @ [ ("--max-weight", Arg.Set_int max_weight, "U max weight (default 8)") ]),
+      run_sparsify );
+    ( "euler", "Theorem 1.4: Eulerian orientation",
+      (fun () ->
+        vertices 256
+        @ [ ("--cycles", Arg.Set_int cycles, "C cycles (default 8)") ]),
+      run_euler );
+    ( "maxflow", "Theorem 1.2: exact maximum flow",
+      (fun () ->
+        [ ("--layers", Arg.Set_int layers, "L network layers (default 4)");
+          ("--width", Arg.Set_int width, "W junctions per layer (default 4)");
+          ("--maxcap", Arg.Set_int maxcap, "U max capacity (default 8)") ]),
+      run_maxflow );
+    ( "mincost", "Theorem 1.3: unit-capacity min-cost flow",
+      (fun () ->
+        vertices 12
+        @ [ ("--arcs", Arg.Set_int arcs, "A random arcs to add (default 30)");
+            ("--maxcost", Arg.Set_int maxcost, "W max arc cost (default 10)") ]),
+      run_mincost );
+    ( "mst", "Boruvka MST on the message-passing kernel",
+      (fun () -> vertices 100 @ density_arg),
+      run_mst );
+  ]
 
-let main_cmd =
-  let doc = "the Laplacian paradigm in the deterministic congested clique" in
-  Cmd.group
-    (Cmd.info "laplacian_cli" ~version:Core.version ~doc)
-    [ solve_cmd; sparsify_cmd; euler_cmd; maxflow_cmd; mincost_cmd; mst_cmd ]
+let usage =
+  "laplacian_cli " ^ Core.version
+  ^ " - the Laplacian paradigm in the deterministic congested clique\n\
+     usage: laplacian_cli COMMAND [OPTION ...]  (COMMAND --help: options)\n\
+     commands:\n"
+  ^ String.concat ""
+      (List.map
+         (fun (name, doc, _, _) -> Printf.sprintf "  %-9s %s\n" name doc)
+         commands)
 
-let () = exit (Cmd.eval main_cmd)
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: ("--help" | "-help" | "-h") :: _ -> print_string usage
+  | _ :: "--version" :: _ -> print_endline Core.version
+  | _ :: name :: _ when List.exists (fun (c, _, _, _) -> c = name) commands ->
+    let _, doc, options, run = List.find (fun (c, _, _, _) -> c = name) commands in
+    let specs = Arg.align (options () @ common) in
+    (match
+       Arg.parse_argv ~current:(ref 1) Sys.argv specs
+         (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+         (Printf.sprintf "usage: laplacian_cli %s [OPTION ...]\n%s" name doc)
+     with
+    | () -> ()
+    | exception Arg.Help msg ->
+      print_string msg;
+      exit 0
+    | exception Arg.Bad msg ->
+      prerr_string msg;
+      exit 2);
+    setup_logs ();
+    run ()
+  | _ ->
+    prerr_string usage;
+    exit 2

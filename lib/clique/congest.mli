@@ -23,7 +23,7 @@ val name : string
 val create : Graph.t -> t
 (** One node per vertex; links are exactly the graph's edges. Delivery
     runs in-process on a {!Runtime.Arena} sized here, whatever
-    {!Sim.default_kernel} says: sharded execution is clique-only. *)
+    kernel {!Sim.create} defaults to: sharded execution is clique-only. *)
 
 val graph : t -> Graph.t
 (** The topology the session was created on. *)

@@ -13,19 +13,14 @@ exception Bandwidth_exceeded = Runtime.Mailbox.Bandwidth_exceeded
 
 let name = "clique"
 
-let forced_kernel : kernel option ref = ref None
-
-let set_default_kernel k = forced_kernel := k
-
-let default_kernel () =
-  match !forced_kernel with
-  | Some k -> k
-  | None -> if Runtime.Shard.default_shards () > 1 then Shard else Arena
-
 let create ?kernel n =
   if n <= 0 then invalid_arg "Sim.create: need n > 0";
   let kernel =
-    match kernel with Some k -> k | None -> default_kernel ()
+    match kernel with
+    | Some k -> k
+    | None ->
+      let c = Runtime.Config.get () in
+      if c.shards > 1 || c.force_socket then Shard else Arena
   in
   let engine =
     match kernel with

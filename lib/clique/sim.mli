@@ -18,10 +18,9 @@ type t
 type kernel = Arena | Shard
 (** Which delivery engine [exchange] runs on. [Arena] (the default) is the
     in-process reusable-buffer counting-sort kernel of {!Runtime.Arena};
-    [Shard] is the multi-process socket transport of {!Socket}, forking
-    [Runtime.Shard.default_shards] workers at [create]. Both are
-    bit-identical in rounds, words, inbox contents, errors, and sanitizer
-    transcripts — the differential suite [test_kernel_equiv] holds them to
+    [Shard] is the multi-process socket transport of {!Socket}, spawning
+    [CC_SHARDS] workers at [create]. Both are bit-identical in rounds,
+    words, inbox contents, errors, and sanitizer transcripts — the differential suite [test_kernel_equiv] holds them to
     that. *)
 
 exception
@@ -39,20 +38,10 @@ val name : string
 (** ["clique"]. *)
 
 val create : ?kernel:kernel -> int -> t
-(** [create n] makes a clique of [n] nodes running on [kernel] (default
-    {!default_kernel}). The arena kernel sizes its buffers once here and
-    reuses them every round. *)
-
-val default_kernel : unit -> kernel
-(** The kernel [create] picks when [?kernel] is omitted: the value forced
-    by {!set_default_kernel} if any; otherwise [Shard] when
-    [Runtime.Shard.default_shards () > 1] (i.e. [CC_SHARDS] asks for a
-    multi-process run), else [Arena]. *)
-
-val set_default_kernel : kernel option -> unit
-(** Force (or, with [None], unforce) the {!default_kernel} result — the
-    test-suite hook for running whole charged pipelines on a chosen
-    kernel, overriding the environment. *)
+(** [create n] makes a clique of [n] nodes running on [kernel]. The
+    default is [Shard] when the {!Runtime.Config} asks for more than one
+    shard ([CC_SHARDS]) or sets [force_socket], else [Arena]. The arena
+    kernel sizes its buffers once here and reuses them every round. *)
 
 val n : t -> int
 

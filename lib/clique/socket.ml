@@ -3,9 +3,9 @@
    re-execs of the current binary — OCaml 5 forbids [Unix.fork] in any
    process that ever spawned a domain, and the coordinator's domain pools
    must stay usable — diverted into [worker_main] by this module's
-   initializer when [CC_SHARD_WORKER] is present, or externally-launched
-   remote processes ([bin/cc_worker], or any linking binary started with
-   [CC_SHARD_REMOTE_WORKER]) dialing the coordinator's TCP rendezvous.
+   initializer when the configuration carries [CC_SHARD_WORKER], or
+   externally-launched remote processes ([bin/cc_worker]) dialing the
+   coordinator's TCP rendezvous.
    Partitioning, ordering, and error selection live in [Runtime.Shard];
    framing and links live in [Wire]; this module is the protocol:
 
@@ -35,8 +35,8 @@
    death — EOF, a read/write timeout, or a PeerDown report from a
    survivor's mesh — is handled per CC_SHARD_POLICY. [Fail] raises
    [Runtime.Shard.Shard_down] as before. [Respawn] kills and replaces the
-   dead worker (exponential backoff, bounded attempts), bumps the epoch,
-   rebuilds the entire mesh with fresh sockets via a Config round — which
+   dead worker (exponential backoff, at most [max_respawns] attempts),
+   bumps the epoch, rebuilds the entire mesh with fresh sockets via a Config round — which
    also discards any half-written frames of the aborted round — and
    replays the interrupted operation from its retained input (the
    operation's own argument: arena delivery is stateless across rounds,
@@ -592,9 +592,8 @@ let worker_serve st =
    in its environment; this module's initializer (bottom of file) diverts
    into [worker_main] before the program's own entry point ever runs. A
    remote worker is any process that calls [remote_worker addr] (the
-   [cc_worker] launcher, or the CC_SHARD_REMOTE_WORKER diversion): it
-   dials the coordinator, sends a hello with src = -1, and is assigned a
-   reserved slot. *)
+   [cc_worker] launcher): it dials the coordinator, sends a hello with
+   src = -1, and is assigned a reserved slot. *)
 
 let dial addr ~peer =
   if String.starts_with ~prefix:"unix:" addr then
@@ -660,9 +659,9 @@ let worker_state ~s ~k ~n ~epoch ~coord ~mesh_fd ~tcp =
     peers = Array.make k None;
     mesh_fd;
     tcp;
-    wtimeout = Shard.default_timeout ();
+    wtimeout = (Runtime.Config.get ()).shard_timeout;
     arena = Runtime.Arena.create ~n ();
-    pool = Runtime.Pool.get (Runtime.Pool.default_domains ());
+    pool = Runtime.Pool.get (Runtime.Config.get ()).domains;
   }
 
 let worker_boot spec =
@@ -694,6 +693,7 @@ let worker_main spec =
 
 let remote_boot addr =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let timeout = (Runtime.Config.get ()).shard_timeout in
   let coord_addr =
     if
       String.starts_with ~prefix:"tcp:" addr
@@ -704,7 +704,7 @@ let remote_boot addr =
   (* A remote worker may legitimately start before its coordinator binds
      the rendezvous: retry refused dials until the session timeout. *)
   let coord =
-    let deadline = Unix.gettimeofday () +. Shard.default_timeout () in
+    let deadline = Unix.gettimeofday () +. timeout in
     let rec go () =
       match dial coord_addr ~peer:"coordinator" with
       | l -> l
@@ -730,7 +730,7 @@ let remote_boot addr =
   Link.send coord
     { Frame.kind = k_hello; src = -1; dst = -1; seq = 0; epoch = 0;
       payload = Frame.Writer.contents hello };
-  let deadline = Unix.gettimeofday () +. Shard.default_timeout () in
+  let deadline = Unix.gettimeofday () +. timeout in
   let a = Link.recv ~deadline coord in
   if a.Frame.kind <> k_assign then
     failwith "remote worker: expected an Assign frame";
@@ -761,8 +761,6 @@ type t = {
   lpath : string option;
   policy : Shard.policy;
   timeout : float;
-  hb_interval : float;
-  max_respawns : int;
   backoff : float;
   remote : int;  (** slots [k - remote, k) are externally launched *)
   log : out_channel option;
@@ -785,7 +783,6 @@ type t = {
   mutable hb_sent : int;
   mutable hb_acked : int;
   mutable hb_missed : int;
-  mutable last_hb : float;
   mutable state : state;
 }
 
@@ -908,38 +905,19 @@ let ensure_live t during =
     raise (Shard.Shard_down { shard; round = t.rounds; during })
   | Closed -> raise (Shard.Shard_down { shard = -1; round = t.rounds; during })
 
-let env_addr = "CC_SHARD_ADDR"
+(* Respawn attempts per death before the session goes down. *)
+let max_respawns = 3
 
-let env_worker = "CC_SHARD_WORKER"
-
-let env_remote = "CC_SHARD_REMOTE"
-
-let env_remote_worker = "CC_SHARD_REMOTE_WORKER"
-
-let env_heartbeat = "CC_SHARD_HEARTBEAT"
-
-let env_log = "CC_SHARD_LOG"
-
-let env_respawns = "CC_SHARD_RESPAWNS"
-
-let env_backoff = "CC_SHARD_BACKOFF"
-
-(* The environment of a spawned worker: the parent's, with the worker spec
-   pinned and the effective domain count made explicit ([Pool.set_default]
-   forcings do not survive the exec). *)
+(* The environment of a spawned worker: the parent's non-CC_* variables
+   plus the resolved configuration (so [Runtime.Config.with_] overrides
+   survive the exec), with the worker spec pinned. *)
 let child_env spec =
-  let skip e =
-    String.starts_with ~prefix:(env_worker ^ "=") e
-    || String.starts_with ~prefix:(env_remote_worker ^ "=") e
-    || String.starts_with ~prefix:(Runtime.Pool.env_var ^ "=") e
-  in
+  let config = { (Runtime.Config.get ()) with shard_worker = Some spec } in
   Array.of_list
-    (List.filter (fun e -> not (skip e)) (Array.to_list (Unix.environment ()))
-    @ [
-        Printf.sprintf "%s=%s" env_worker spec;
-        Printf.sprintf "%s=%d" Runtime.Pool.env_var
-          (Runtime.Pool.default_domains ());
-      ])
+    (List.filter
+       (fun e -> not (String.starts_with ~prefix:"CC_" e))
+       (Array.to_list (Unix.environment ()))
+    @ List.map (fun (k, v) -> k ^ "=" ^ v) (Runtime.Config.to_env config))
 
 let spawn_worker ~addr_str ~k ~n ~epoch s =
   Unix.create_process_env Sys.executable_name [| Sys.executable_name |]
@@ -1127,7 +1105,7 @@ and respawn_loop t ~during dead attempt =
   match dead with
   | [] -> ()
   | first :: _ ->
-    if attempt > t.max_respawns then begin
+    if attempt > max_respawns then begin
       logf t "respawn attempts exhausted for shards [%s]"
         (String.concat "," (List.map string_of_int dead));
       session_down t ~shard:first ~during
@@ -1227,80 +1205,24 @@ let heartbeat t =
       (String.concat "," (List.map string_of_int d));
     recover t ~during:"heartbeat" d
 
-let maybe_heartbeat t =
-  if t.hb_interval > 0.0 then begin
-    let now = Unix.gettimeofday () in
-    if now -. t.last_hb >= t.hb_interval then begin
-      t.last_hb <- now;
-      heartbeat t
-    end
-  end
-
 (* ------------------------------------------------------------- creation *)
 
-let getenv_float var =
-  match Sys.getenv_opt var with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some x when x >= 0.0 -> Some x
-    | _ -> None)
-  | None -> None
-
-let getenv_int var =
-  match Sys.getenv_opt var with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some x when x >= 0 -> Some x
-    | _ -> None)
-  | None -> None
-
-let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
-    ?max_respawns ?backoff ?log n =
+let create ?shards:requested ?addr ?remote ?policy ?timeout ?(backoff = 0.2)
+    ?log n =
   if n <= 0 then invalid_arg "Socket.create: need n > 0";
-  let k =
-    let r =
-      match requested with Some k -> max 1 k | None -> Shard.default_shards ()
-    in
-    min r n
-  in
+  let c = Runtime.Config.get () in
+  let k = min (max 1 (Option.value requested ~default:c.shards)) n in
   if k > 62 then invalid_arg "Socket.create: at most 62 shards";
-  let policy = match policy with Some p -> p | None -> Shard.default_policy () in
+  let policy = Option.value policy ~default:c.shard_policy in
   let timeout =
-    match timeout with Some x when x > 0.0 -> x | _ -> Shard.default_timeout ()
+    match timeout with Some x when x > 0.0 -> x | _ -> c.shard_timeout
   in
-  let remote =
-    let r =
-      match remote with
-      | Some r -> max 0 r
-      | None -> ( match getenv_int env_remote with Some r -> r | None -> 0)
-    in
-    min r k
-  in
-  let hb_interval =
-    match heartbeat with
-    | Some x -> Float.max 0.0 x
-    | None -> (
-      match getenv_float env_heartbeat with Some x -> x | None -> 0.0)
-  in
-  let max_respawns =
-    match max_respawns with
-    | Some r -> max 0 r
-    | None -> ( match getenv_int env_respawns with Some r -> r | None -> 3)
-  in
-  let backoff =
-    match backoff with
-    | Some b -> Float.max 0.0 b
-    | None -> (
-      match getenv_float env_backoff with Some b -> b | None -> 0.2)
-  in
-  let log =
-    match log with
-    | Some p -> Some p
-    | None -> Sys.getenv_opt env_log
-  in
+  let remote = min (max 0 (Option.value remote ~default:c.shard_remote)) k in
+  let backoff = Float.max 0.0 backoff in
+  let log = match log with Some p -> Some p | None -> c.shard_log in
   if not (Atomic.exchange sigpipe_ignored true) then
     if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let addr = match addr with Some a -> Some a | None -> Sys.getenv_opt env_addr in
+  let addr = match addr with Some a -> Some a | None -> c.shard_addr in
   if remote > 0 && addr = None then
     invalid_arg
       "Socket.create: remote workers need a TCP rendezvous (CC_SHARD_ADDR)";
@@ -1342,8 +1264,6 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
       lpath;
       policy;
       timeout;
-      hb_interval;
-      max_respawns;
       backoff;
       remote;
       log = log_oc;
@@ -1366,7 +1286,6 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
       hb_sent = 0;
       hb_acked = 0;
       hb_missed = 0;
-      last_hb = Unix.gettimeofday ();
       state = Live;
     }
   in
@@ -1512,7 +1431,6 @@ let collect_all t ~each =
   if !dead <> [] then raise (Dead_workers !dead)
 
 let exchange ?(width = default_width) t outboxes =
-  maybe_heartbeat t;
   let attempt () =
     t.seq <- t.seq + 1;
     let e = epoch t in
@@ -1561,7 +1479,6 @@ let exchange ?(width = default_width) t outboxes =
   supervised t ~during:"exchange" attempt
 
 let broadcast ?(width = default_width) t values =
-  maybe_heartbeat t;
   if Array.length values <> t.n then
     invalid_arg "Mailbox.broadcast: values array length mismatch";
   let attempt () =
@@ -1656,14 +1573,10 @@ let stats t =
 (* --------------------------------------------------- worker diversion *)
 
 (* Runs at module initialization — i.e. in every executable linking this
-   library, before its own entry point. A process spawned by [create]
-   carries the worker spec in its environment and never comes back; a
-   process launched with CC_SHARD_REMOTE_WORKER=<addr> becomes a remote
-   worker dialing that coordinator. *)
+   library, before its own entry point, so a malformed configuration
+   stops every such binary at startup. A process spawned by [create]
+   carries the worker spec in its configuration and never comes back. *)
 let () =
-  match Sys.getenv_opt env_worker with
+  match (Runtime.Config.get ()).shard_worker with
   | Some spec -> worker_main spec
-  | None -> (
-    match Sys.getenv_opt env_remote_worker with
-    | Some addr -> remote_worker addr
-    | None -> ())
+  | None -> ()

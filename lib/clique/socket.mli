@@ -28,8 +28,8 @@
 
     - [Fail] (default): raise [Runtime.Shard.Shard_down] naming the shard
       and round, exactly the pre-supervision behaviour.
-    - [Respawn]: replace the dead worker (up to [CC_SHARD_RESPAWNS] times,
-      exponential backoff from [CC_SHARD_BACKOFF] seconds), bump the
+    - [Respawn]: replace the dead worker (up to 3 times, exponential
+      backoff from [?backoff] seconds), bump the
       epoch, rebuild the mesh, and replay the interrupted operation from
       its retained input — output bit-identical to an undisturbed run.
     - [Drain]: mark the shard dead, merge its node range into a surviving
@@ -61,60 +61,35 @@ exception
 val name : string
 (** ["clique+shard"]. *)
 
-val env_addr : string
-(** ["CC_SHARD_ADDR"]. *)
-
-val env_remote : string
-(** ["CC_SHARD_REMOTE"] — how many shard slots await external workers. *)
-
-val env_remote_worker : string
-(** ["CC_SHARD_REMOTE_WORKER"] — set to the coordinator's address, turns
-    any binary linking this library into a remote worker at startup. *)
-
-val env_heartbeat : string
-(** ["CC_SHARD_HEARTBEAT"] — liveness-probe interval in seconds; [0]
-    (the default) disables probing between operations. *)
-
-val env_log : string
-(** ["CC_SHARD_LOG"] — append supervisor events to this file. *)
-
-val env_respawns : string
-(** ["CC_SHARD_RESPAWNS"] — respawn attempt bound (default 3). *)
-
-val env_backoff : string
-(** ["CC_SHARD_BACKOFF"] — base respawn backoff in seconds (default
-    0.2; attempt [i] waits [backoff · 2^(i-1)]). *)
-
 val create :
   ?shards:int ->
   ?addr:string ->
   ?remote:int ->
   ?policy:Runtime.Shard.policy ->
   ?timeout:float ->
-  ?heartbeat:float ->
-  ?max_respawns:int ->
   ?backoff:float ->
   ?log:string ->
   int ->
   t
 (** [create n] spawns the worker family by re-executing the current
     binary ([Unix.fork] is unavailable once any domain ever ran; the
-    [CC_SHARD_WORKER] environment variable diverts the re-exec into the
-    worker loop before the program's own entry point), then wires every
-    link through a socket rendezvous: workers dial the coordinator's
+    [CC_SHARD_WORKER] entry of the worker's configuration diverts the
+    re-exec into the worker loop before the program's own entry point),
+    then wires every link through a socket rendezvous: workers dial the coordinator's
     listener, receive the epoch-stamped live-partition config, build the
     full worker mesh, and confirm ready before the session goes live —
     the same config/ready round that recovery replays later.
 
-    [shards] defaults to [Runtime.Shard.default_shards ()] and is clamped
-    to [n]. [addr] defaults to [CC_SHARD_ADDR]; absent means Unix-domain
-    sockets under the temp directory. [remote] (default [CC_SHARD_REMOTE],
-    else 0) reserves the last [remote] shard slots for external workers
-    joining through the TCP rendezvous — requires [addr], and bootstrap
-    waits for them like any other worker, bounded by [timeout]. [policy],
-    [timeout], [heartbeat], [max_respawns], [backoff] and [log] default to
-    their environment knobs as documented above. Every bootstrap failure
-    is a structured [Runtime.Shard.Shard_down] with [round = 0]. *)
+    [shards], [addr], [remote], [policy], [timeout] and [log] default to
+    the {!Runtime.Config} fields [shards], [shard_addr], [shard_remote],
+    [shard_policy], [shard_timeout] and [shard_log]. [shards] is clamped
+    to [n]. An absent [addr] means Unix-domain sockets under the temp
+    directory. [remote] reserves the last [remote] shard slots for
+    external workers joining through the TCP rendezvous — it requires
+    [addr], and bootstrap waits for them like any other worker, bounded
+    by [timeout]. [backoff] (default 0.2 s) is the first respawn pause;
+    attempt [i] waits [backoff · 2^(i-1)]. Every bootstrap failure is a
+    structured [Runtime.Shard.Shard_down] with [round = 0]. *)
 
 val close : t -> unit
 (** Send shutdown frames, close links, reap the worker processes.
@@ -157,10 +132,9 @@ val policy : t -> Runtime.Shard.policy
 
 val heartbeat : t -> unit
 (** Probe every live worker now and run recovery for any that fails to
-    ack within the session timeout. Called automatically between
-    operations when [CC_SHARD_HEARTBEAT] (or [?heartbeat]) is positive;
-    exposed for tests and long idle periods. Heartbeat-triggered
-    recovery charges no round (there was no operation to replay). *)
+    ack within the session timeout — for long idle periods, between
+    operations. Heartbeat-triggered recovery charges no round (there was
+    no operation to replay). *)
 
 val default_width : int
 (** 2, as on every clique kernel. *)
@@ -199,6 +173,5 @@ val remote_worker : string -> unit
 (** Run this process as a remote worker: dial the coordinator at the
     given address ([host:port], or explicit [tcp:]/[unix:]), join the
     hello rendezvous with a slot-assignment request, serve rounds until
-    shutdown, then [Unix._exit]. Never returns. [bin/cc_worker] is a thin
-    wrapper; setting [CC_SHARD_REMOTE_WORKER=<addr>] diverts any binary
-    linking this library here at startup. *)
+    shutdown, then [Unix._exit]. Never returns. [bin/cc_worker] is the
+    launcher. *)

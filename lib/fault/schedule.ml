@@ -91,8 +91,6 @@ let bits t ints = Int64.to_int (Int64.shift_right_logical (key t ints) 2)
 
 (* --------------------------------------------------- CC_FAULTS spec text *)
 
-let env_var = "CC_FAULTS"
-
 let to_string t =
   let rule_str r =
     let buf = Buffer.create 32 in
@@ -180,10 +178,9 @@ let of_string s =
   List.fold_left step (Ok { seed = 1; rules = [] }) parts
 
 let of_env () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> None
+  match (Runtime.Config.get ()).faults with
+  | None -> None
   | Some s -> (
     match of_string s with
     | Ok t -> Some t
-    | Error e ->
-      invalid_arg (Printf.sprintf "%s: %s (in %S)" env_var e s))
+    | Error e -> invalid_arg (Printf.sprintf "CC_FAULTS: %s (in %S)" e s))

@@ -58,9 +58,6 @@ val bits : t -> int list -> int
 (** A non-negative pseudo-random integer from the same keyed mixer, for
     corruption masks and truncation lengths. *)
 
-val env_var : string
-(** ["CC_FAULTS"]. *)
-
 val of_string : string -> (t, string) result
 (** Parse a schedule spec:
     [seed=N;kind:rate\[@phase=p\]\[@rounds=a-b\];...] — e.g.
@@ -68,9 +65,9 @@ val of_string : string -> (t, string) result
     An omitted seed defaults to 1; [rounds=a-] leaves the window open. *)
 
 val of_env : unit -> t option
-(** The schedule in [CC_FAULTS], if set and non-empty. Raises
-    [Invalid_argument] on a malformed spec (a chaos run must never
-    silently fall back to faults-off). *)
+(** The schedule in [CC_FAULTS] ([Runtime.Config.t.faults]), if set.
+    Raises [Invalid_argument] naming [CC_FAULTS] on a malformed spec (a
+    chaos run must never silently fall back to faults-off). *)
 
 val to_string : t -> string
 (** Render back to the {!of_string} grammar. *)

@@ -45,7 +45,7 @@ val solve :
     [b ⊥ 1] (it is centered defensively). [eps] (default [1e-6]) is the
     target of Theorem 1.1: [‖x − L†b‖_{L_G} ≤ ε‖L†b‖_{L_G}]. [inner]
     defaults to [Direct] for [n ≤ 400], [Iterative] above. [model]
-    (default {!Runtime.Model.default}) selects unicast vs broadcast
+    (default [CC_MODEL], [Runtime.Config.t.model]) selects unicast vs broadcast
     round accounting for the sparsifier phase; the matvec-driven phases
     (κ-estimation, Chebyshev) cost the same in both models, and the
     solution is bit-identical. Raises [Invalid_argument] on a

@@ -4,22 +4,6 @@
    publishing a job bumps [gen], each worker runs it exactly once and
    reports back through [pending]. *)
 
-let env_var = "CC_DOMAINS"
-
-let forced : int option ref = ref None
-
-(* Set during process bootstrap (shard workers pin their domain count
-   before the first pool exists), never while workers run. *)
-let set_default d = forced := d (* cc_lint: allow L11 — bootstrap-only, precedes any domain *)
-
-let default_domains () =
-  match !forced with
-  | Some d -> max 1 d
-  | None -> (
-    match Sys.getenv_opt env_var with
-    | Some s -> ( match int_of_string_opt s with Some d when d > 0 -> d | _ -> 1)
-    | None -> 1)
-
 type shared = {
   m : Mutex.t;
   cv : Condition.t;

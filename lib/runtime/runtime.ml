@@ -6,6 +6,7 @@ module Arena = Arena
 module Pool = Pool
 module Shard = Shard
 module Model = Model
+module Config = Config
 
 module type TRANSPORT = Transport.S
 
@@ -111,10 +112,10 @@ module Make (T : TRANSPORT) = struct
 
   let create ?(phase = "main") ?(trace_capacity = 256) ?sanitize ?domains tr =
     let sanitize =
-      match sanitize with Some b -> b | None -> Sanitize.enabled_default ()
+      match sanitize with Some b -> b | None -> (Config.get ()).sanitize
     in
     let domains =
-      match domains with Some d -> max 1 d | None -> Pool.default_domains ()
+      match domains with Some d -> max 1 d | None -> (Config.get ()).domains
     in
     {
       tr;

@@ -19,6 +19,7 @@ module Arena = Arena
 module Pool = Pool
 module Shard = Shard
 module Model = Model
+module Config = Config
 
 module type TRANSPORT = Transport.S
 
@@ -49,11 +50,10 @@ module type S = sig
   (** A fresh runtime (empty ledger and trace) over an existing transport.
       [phase] (default ["main"]) is the initial ledger tag;
       [trace_capacity] (default 256) bounds the event ring. [sanitize]
-      (default {!Sanitize.enabled_default}, i.e. the [CC_SANITIZE]
-      environment variable) turns on the dynamic model-compliance checks
-      and determinism transcripts of {!Sanitize}. [domains] (default
-      {!Pool.default_domains}, i.e. the [CC_DOMAINS] environment variable)
-      is the parallelism {!exchange_map} fans per-node steps over —
+      (default [CC_SANITIZE], [Config.t.sanitize]) turns on the dynamic
+      model-compliance checks and determinism transcripts of {!Sanitize}.
+      [domains] (default [CC_DOMAINS], [Config.t.domains]) is the
+      parallelism {!exchange_map} fans per-node steps over —
       results are bit-identical for every value. *)
 
   val transport : t -> transport

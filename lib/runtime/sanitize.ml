@@ -21,22 +21,6 @@ let violation ~phase ~kind fmt =
     (fun detail -> raise (Violation { phase; kind; detail }))
     fmt
 
-(* ------------------------------------------------------- enabling logic *)
-
-let env_var = "CC_SANITIZE"
-
-let forced : bool option ref = ref None
-
-let set_default b = forced := b
-
-let enabled_default () =
-  match !forced with
-  | Some b -> b
-  | None -> (
-    match Sys.getenv_opt env_var with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | Some _ | None -> false)
-
 (* ------------------------------------------------------------ FNV-1a 64 *)
 
 (* One shared fold for transcripts and frame checksums: [Wire.Fnv] keeps

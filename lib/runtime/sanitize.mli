@@ -20,25 +20,12 @@
       escaping the per-phase breakdown).
 
     Enabled per runtime via [Runtime.Make(T).create ~sanitize:true], or
-    globally with the [CC_SANITIZE=1] environment variable (values [1],
-    [true], [yes], [on]); {!set_default} overrides the environment from
-    test code. *)
+    for the whole run with [CC_SANITIZE=1] ([Config.t.sanitize]). *)
 
 exception Violation of { phase : string; kind : string; detail : string }
 (** [kind] is one of ["width"], ["duplicate-dst"], ["broadcast-width"],
     ["phase-attribution"], ["ledger-drift"]. A printer is registered, so
     uncaught violations print readably. *)
-
-val env_var : string
-(** ["CC_SANITIZE"]. *)
-
-val enabled_default : unit -> bool
-(** What [create ?sanitize] defaults to: {!set_default}'s override if any,
-    else the environment. *)
-
-val set_default : bool option -> unit
-(** [set_default (Some b)] forces the default; [set_default None] restores
-    environment control. *)
 
 type t
 (** Per-runtime sanitizer state: transcript hashes plus the

@@ -16,27 +16,9 @@
      because that is the message a single-process walk would have tripped
      on first. *)
 
-let env_var = "CC_SHARDS"
-
-let forced : int option ref = ref None
-
-let set_default k = forced := k
-
-let default_shards () =
-  match !forced with
-  | Some k -> max 1 k
-  | None -> (
-    match Sys.getenv_opt env_var with
-    | Some s -> ( match int_of_string_opt s with Some k when k > 0 -> k | _ -> 1)
-    | None -> 1)
-
 (* ------------------------------------------------- supervision policy *)
 
 type policy = Fail | Respawn | Drain
-
-let policy_env = "CC_SHARD_POLICY"
-
-let timeout_env = "CC_SHARD_TIMEOUT"
 
 let policy_of_string s =
   match String.lowercase_ascii (String.trim s) with
@@ -49,36 +31,6 @@ let policy_to_string = function
   | Fail -> "fail"
   | Respawn -> "respawn"
   | Drain -> "drain"
-
-let forced_policy : policy option ref = ref None
-
-let set_default_policy p = forced_policy := p
-
-(* An unrecognized CC_SHARD_POLICY value falls back to fail-stop: the
-   conservative default is the one whose behaviour a surprised operator
-   already expects from the pre-supervision transport. *)
-let default_policy () =
-  match !forced_policy with
-  | Some p -> p
-  | None -> (
-    match Sys.getenv_opt policy_env with
-    | Some s -> ( match policy_of_string s with Some p -> p | None -> Fail)
-    | None -> Fail)
-
-let forced_timeout : float option ref = ref None
-
-let set_default_timeout x = forced_timeout := x
-
-let default_timeout () =
-  match !forced_timeout with
-  | Some x -> x
-  | None -> (
-    match Sys.getenv_opt timeout_env with
-    | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some x when x > 0.0 -> x
-      | _ -> 30.0)
-    | None -> 30.0)
 
 exception Shard_down of { shard : int; round : int; during : string }
 

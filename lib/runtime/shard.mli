@@ -13,18 +13,6 @@
     bit-identical to single-process rounds: same inbox contents and order,
     same error at the same message. *)
 
-val env_var : string
-(** ["CC_SHARDS"]. *)
-
-val default_shards : unit -> int
-(** The shard count a transport uses when none is forced: the value set by
-    {!set_default} if any, else [CC_SHARDS] when set to a positive
-    integer, else 1. *)
-
-val set_default : int option -> unit
-(** Force (or, with [None], unforce) {!default_shards} — the test-suite
-    hook, overriding the environment. *)
-
 (** What the socket supervisor does when a worker dies mid-session
     (DESIGN.md §14): [Fail] propagates {!Shard_down} (the pre-supervision
     behaviour), [Respawn] replaces the worker and replays the interrupted
@@ -32,31 +20,10 @@ val set_default : int option -> unit
     continues degraded. *)
 type policy = Fail | Respawn | Drain
 
-val policy_env : string
-(** ["CC_SHARD_POLICY"]. *)
-
-val timeout_env : string
-(** ["CC_SHARD_TIMEOUT"]. *)
-
 val policy_of_string : string -> policy option
 (** Case-insensitive ["fail"]/["respawn"]/["drain"]. *)
 
 val policy_to_string : policy -> string
-
-val default_policy : unit -> policy
-(** The policy a transport uses when none is passed: the value set by
-    {!set_default_policy} if any, else a recognized [CC_SHARD_POLICY],
-    else [Fail] — an unrecognized value falls back to fail-stop, the
-    behaviour an operator already expects. *)
-
-val set_default_policy : policy option -> unit
-
-val default_timeout : unit -> float
-(** Seconds every supervised blocking wait is bounded by: the value set
-    by {!set_default_timeout} if any, else a positive [CC_SHARD_TIMEOUT],
-    else 30. *)
-
-val set_default_timeout : float option -> unit
 
 exception Shard_down of { shard : int; round : int; during : string }
 (** A worker process died or its socket reached EOF mid-operation and the

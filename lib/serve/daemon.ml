@@ -23,33 +23,6 @@ type config = {
   max_bytes : int;
 }
 
-let getenv name ~default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some v -> v
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let int_env name ~default =
-  let raw = getenv name ~default:(string_of_int default) in
-  match int_of_string_opt raw with
-  | Some v when v >= 1 -> Ok v
-  | Some _ | None ->
-    Error (Printf.sprintf "%s must be a positive integer, got %S" name raw)
-
-let config_of_env () =
-  let* jobs = int_env "CC_SERVE_JOBS" ~default:2 in
-  let* cache_cap = int_env "CC_SERVE_CACHE" ~default:32 in
-  let* policy = Exec.policy_of_string (getenv "CC_SERVE_POLICY" ~default:"") in
-  Ok
-    {
-      addr = getenv "CC_SERVE_ADDR" ~default:"unix:/tmp/cc-serve.sock";
-      jobs;
-      cache_cap;
-      policy;
-      max_bytes = 8 * 1024 * 1024;
-    }
-
 let unix_prefix = "unix:"
 
 let is_unix addr =
@@ -227,6 +200,7 @@ let stats_body t ~id =
         ("workers", Json.Int t.config.jobs);
         ("policy", Json.String (Exec.policy_name t.config.policy));
         ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
+        ("config", Runtime.Config.to_json (Runtime.Config.get ()));
         ( "cache",
           Json.Assoc
             [

@@ -17,12 +17,6 @@ type config = {
   max_bytes : int;  (** largest accepted request payload *)
 }
 
-val config_of_env : unit -> (config, string) result
-(** Defaults overridden by [CC_SERVE_ADDR] (default
-    ["unix:/tmp/cc-serve.sock"]), [CC_SERVE_JOBS] (2), [CC_SERVE_CACHE]
-    (32), and [CC_SERVE_POLICY] ([none]); [Error] describes the bad
-    variable. *)
-
 type t
 
 val start : config -> t

@@ -39,7 +39,7 @@ let cluster_sparsifier backend sub vs =
 let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
     ?model g =
   let model =
-    match model with Some m -> m | None -> Runtime.Model.default ()
+    match model with Some m -> m | None -> (Runtime.Config.get ()).model
   in
   let n = Graph.n g in
   let m = Graph.m g in

@@ -40,7 +40,7 @@ val sparsify :
     [n^{O(1/r²)}] knob of Theorem 3.2); [max_levels] (default
     [4·⌈log₂ m⌉ + 4]) caps the recursion — any leftover crossing edges are
     then kept verbatim, which can only improve quality. [model] (default
-    {!Runtime.Model.default}, i.e. the [CC_MODEL] environment variable)
+    [CC_MODEL], i.e. [Runtime.Config.t.model])
     selects unicast vs Broadcast Congested Clique {e accounting}: the
     computed sparsifier is bit-identical under both models, only the
     charged ["decompose"]/["gather"] rounds differ (DESIGN.md §13). *)

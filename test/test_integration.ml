@@ -253,8 +253,7 @@ let test_seed_round_parity_mcf () =
    the CG baseline. The bench binary covers the full E1-E8 surface under
    CC_SANITIZE=1 in CI. *)
 let with_sanitizer f =
-  Runtime.Sanitize.set_default (Some true);
-  Fun.protect ~finally:(fun () -> Runtime.Sanitize.set_default None) f
+  Runtime.Config.with_ { (Runtime.Config.get ()) with sanitize = true } f
 
 let test_families_under_sanitizer () =
   with_sanitizer (fun () ->

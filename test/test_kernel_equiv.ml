@@ -63,17 +63,19 @@ let config_name (k, d, s) =
   | Clique.Sim.Arena -> Printf.sprintf "arena/domains=%d" d
   | Clique.Sim.Shard -> Printf.sprintf "shard/shards=%d/domains=%d" s d
 
+(* The ambient configuration (CC_MODEL, CC_SANITIZE, CC_SHARD_POLICY,
+   ... as CI sets them) with the leg's kernel, domains and shards forced;
+   [force_socket] keeps the single-worker shard legs on the socket
+   transport. *)
 let with_config (kernel, domains, shards) f =
-  Clique.Sim.set_default_kernel (Some kernel);
-  Runtime.Pool.set_default (Some domains);
-  Runtime.Shard.set_default (Some shards);
-  Fun.protect
-    ~finally:(fun () ->
-      Clique.Socket.shutdown_all ();
-      Clique.Sim.set_default_kernel None;
-      Runtime.Pool.set_default None;
-      Runtime.Shard.set_default None)
-    f
+  Runtime.Config.with_
+    {
+      (Runtime.Config.get ()) with
+      domains;
+      shards;
+      force_socket = kernel = Clique.Sim.Shard;
+    }
+    (fun () -> Fun.protect ~finally:Clique.Socket.shutdown_all f)
 
 (* A run's identity: ledger totals plus the sanitizer's two FNV-1a
    transcript digests. Content-hash equality pins endpoints and payload
@@ -119,7 +121,7 @@ let test_programs_equivalent () =
 
 (* The E1 workload: the full charged sparsifier pipeline builds its own
    runtime internally, so this exercises kernel selection through
-   [Sim.default_kernel] exactly as the bench harness does. *)
+   [Sim.create]'s configured default exactly as the bench harness does. *)
 let test_sparsifier_equivalent () =
   let runs =
     List.map
@@ -393,10 +395,12 @@ let test_congest_check_parity () =
   let path = Gen.path 4 in
   List.iter
     (fun kernel ->
-      Clique.Sim.set_default_kernel (Some kernel);
+      let c = Runtime.Config.get () in
       let raised =
-        Fun.protect
-          ~finally:(fun () -> Clique.Sim.set_default_kernel None)
+        Runtime.Config.with_
+          (match kernel with
+          | Clique.Sim.Arena -> { c with shards = 1; force_socket = false }
+          | Clique.Sim.Shard -> { c with force_socket = true })
           (fun () ->
             let c = Clique.Congest.create path in
             try

@@ -5,6 +5,7 @@ let () =
       ("graph", Test_graph.suite);
       ("clique", Test_clique.suite);
       ("runtime", Test_runtime.suite);
+      ("config", Test_config.suite);
       ("wire", Test_wire.suite);
       ("sanitize", Test_sanitize.suite);
       ("determinism", Test_determinism.suite);

@@ -117,19 +117,25 @@ let test_broadcast_width_wins_and_legal_fanout () =
 
 let test_model_selector () =
   let module Mo = Runtime.Model in
-  Fun.protect
-    ~finally:(fun () -> Mo.set_default None)
-    (fun () ->
-      Alcotest.(check bool) "broadcast parses" true
-        (Mo.of_string "Broadcast" = Some Mo.Broadcast
-        && Mo.of_string "bcast" = Some Mo.Broadcast);
-      Alcotest.(check bool) "unicast parses" true
-        (Mo.of_string "unicast" = Some Mo.Unicast);
-      Alcotest.(check bool) "junk rejected" true (Mo.of_string "???" = None);
-      Mo.set_default (Some Mo.Broadcast);
-      Alcotest.(check string) "forced default wins" "broadcast"
-        (Mo.name (Mo.default ()));
-      Mo.set_default None)
+  Alcotest.(check bool) "broadcast parses" true
+    (Mo.of_string "Broadcast" = Some Mo.Broadcast
+    && Mo.of_string "bcast" = Some Mo.Broadcast);
+  Alcotest.(check bool) "unicast parses" true
+    (Mo.of_string "unicast" = Some Mo.Unicast);
+  Alcotest.(check bool) "junk rejected" true (Mo.of_string "???" = None);
+  (* The configured model is what a charged pipeline's [?model] defaults
+     to. *)
+  let g = Gen.connected_gnp ~seed:3L 24 0.5 in
+  let rounds ?model () = (Sparsify.Spectral.sparsify ?model g).Sparsify.Spectral.rounds in
+  let forced =
+    Runtime.Config.with_
+      { (Runtime.Config.get ()) with model = Mo.Broadcast }
+      (fun () -> rounds ())
+  in
+  Alcotest.(check int) "configured model is the default"
+    (rounds ~model:Mo.Broadcast ()) forced;
+  Alcotest.(check bool) "and it changes the accounting" true
+    (forced <> rounds ~model:Mo.Unicast ())
 
 (* ---------------------------------------------------- phase attribution *)
 
@@ -175,19 +181,19 @@ let test_drift_baseline_over_used_transport () =
 
 (* ------------------------------------------------- enabling and default *)
 
-let test_set_default () =
-  Fun.protect
-    ~finally:(fun () -> San.set_default None)
-    (fun () ->
-      San.set_default (Some true);
+let test_config_default () =
+  let with_sanitize b f =
+    Runtime.Config.with_ { (Runtime.Config.get ()) with sanitize = b } f
+  in
+  with_sanitize true (fun () ->
       let rt = K.clique 2 in
       Alcotest.(check bool) "default on" true (K.On_sim.sanitized rt);
       Alcotest.(check bool) "sanitizer exposed" true
-        (K.On_sim.sanitizer rt <> None);
-      San.set_default (Some false);
+        (K.On_sim.sanitizer rt <> None));
+  with_sanitize false (fun () ->
       let rt = K.clique 2 in
       Alcotest.(check bool) "default off" false (K.On_sim.sanitized rt);
-      (* An explicit argument beats the ambient default. *)
+      (* An explicit argument beats the configured default. *)
       let rt = K.On_sim.create ~sanitize:true (Clique.Sim.create 2) in
       Alcotest.(check bool) "explicit wins" true (K.On_sim.sanitized rt))
 
@@ -288,7 +294,7 @@ let suite =
     Alcotest.test_case "ledger drift detection" `Quick test_ledger_drift;
     Alcotest.test_case "drift baseline on used transport" `Quick
       test_drift_baseline_over_used_transport;
-    Alcotest.test_case "set_default" `Quick test_set_default;
+    Alcotest.test_case "default from config" `Quick test_config_default;
     Alcotest.test_case "transcript distinguishes runs" `Quick
       test_transcript_distinguishes_runs;
     Alcotest.test_case "trace wraparound at capacity" `Quick

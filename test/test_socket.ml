@@ -35,7 +35,7 @@ let () =
    given rendezvous and never sends a byte — the bootstrap-hang
    regression (a pre-supervision coordinator blocked forever on it). *)
 let () =
-  match Sys.getenv_opt "CC_TEST_MUTE_CLIENT" with
+  match Sys.getenv_opt "TEST_MUTE_CLIENT" with
   | None -> ()
   | Some addr ->
     let host, port = Wire.Link.parse_addr addr in
@@ -347,7 +347,7 @@ let test_heartbeat_probes_and_recovers () =
 let test_mute_client_bootstrap_timeout () =
   let port = ephemeral_port () in
   let addr = Printf.sprintf "127.0.0.1:%d" port in
-  let mute = spawn_with_env [ "CC_TEST_MUTE_CLIENT=" ^ addr ] in
+  let mute = spawn_with_env [ "TEST_MUTE_CLIENT=" ^ addr ] in
   Fun.protect
     ~finally:(fun () -> reap mute)
     (fun () ->
@@ -370,14 +370,20 @@ let test_mute_client_bootstrap_timeout () =
 (* ------------------------------------------------------- remote workers *)
 
 (* A remote worker is any process dialing the TCP rendezvous: here the
-   test binary itself, diverted by CC_SHARD_REMOTE_WORKER exactly as
-   bin/cc_worker would. One of the two shards runs in that process; the
+   bin/cc_worker launcher users run (a link dependency of this test, so it
+   is built next to it). One of the two shards runs in that process; the
    session must behave identically to an all-local one. *)
+let cc_worker =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/cc_worker.exe")
+
 let test_remote_worker_joins () =
   let port = ephemeral_port () in
   let addr = Printf.sprintf "127.0.0.1:%d" port in
   let remote =
-    spawn_with_env [ "CC_SHARD_REMOTE_WORKER=tcp:" ^ addr ]
+    Unix.create_process cc_worker [| cc_worker; "tcp:" ^ addr |] Unix.stdin
+      Unix.stdout Unix.stderr
   in
   Fun.protect
     ~finally:(fun () -> reap remote)
