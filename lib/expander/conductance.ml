@@ -21,25 +21,54 @@ let of_cut g inside =
   let denom = Float.min vol_in vol_out in
   if denom <= 0. then infinity else cut_weight g inside /. denom
 
+let best_cut g =
+  let n = Graph.n g in
+  if n < 1 || n > 20 then
+    invalid_arg "Conductance.best_cut: need 1 <= n <= 20";
+  let edges = Graph.edges g in
+  let deg = Array.init n (Graph.weighted_degree g) in
+  let total_vol =
+    Array.fold_left (fun acc e -> acc +. (2. *. e.Graph.w)) 0. edges
+  in
+  let inside = Array.make n false in
+  inside.(0) <- true;
+  let best_phi = ref infinity in
+  let best = ref (Array.make n false) in
+  (* Subsets containing vertex 0 (complements cover the rest), summed in
+     [of_cut]'s vertex and edge order; the last mask would put every vertex
+     inside and is skipped. *)
+  for mask = 1 to (1 lsl (n - 1)) - 2 do
+    for b = 0 to n - 2 do
+      inside.(b + 1) <- (mask lsr b) land 1 = 1
+    done;
+    let vol_in = ref 0. in
+    for v = 0 to n - 1 do
+      if inside.(v) then vol_in := !vol_in +. deg.(v)
+    done;
+    let denom = Float.min !vol_in (total_vol -. !vol_in) in
+    let phi =
+      if denom <= 0. then infinity
+      else begin
+        let cut = ref 0. in
+        for i = 0 to Array.length edges - 1 do
+          let e = edges.(i) in
+          if inside.(e.Graph.u) <> inside.(e.Graph.v) then
+            cut := !cut +. e.Graph.w
+        done;
+        !cut /. denom
+      end
+    in
+    if phi < !best_phi then begin
+      best_phi := phi;
+      best := Array.copy inside
+    end
+  done;
+  (!best, !best_phi)
+
 let exact g =
   let n = Graph.n g in
   if n > 20 then invalid_arg "Conductance.exact: too large (n > 20)";
-  if n < 2 then infinity
-  else begin
-    let best = ref infinity in
-    (* Enumerate subsets containing vertex 0 (complement symmetry). *)
-    for mask = 1 to (1 lsl (n - 1)) - 1 do
-      let inside = Array.make n false in
-      inside.(0) <- true;
-      for b = 0 to n - 2 do
-        if (mask lsr b) land 1 = 1 then inside.(b + 1) <- true
-      done;
-      let all = Array.for_all (fun x -> x) inside in
-      if not all then best := Float.min !best (of_cut g inside)
-    done;
-    (* Also the cuts not containing vertex 0 are complements: covered. *)
-    !best
-  end
+  if n < 2 then infinity else snd (best_cut g)
 
 let sweep_cut g x =
   let n = Graph.n g in

@@ -20,27 +20,6 @@ let bcast_rounds_formula ~n =
   let logn = Runtime.Cost.log2_ceil (max n 2) in
   (4 * (logn + 1) * (logn + 1)) + (4 * logn)
 
-(* Exact minimum-conductance cut by enumeration; n ≤ 16. *)
-let best_cut_small g =
-  let n = Graph.n g in
-  let best_phi = ref infinity in
-  let best = ref (Array.make n false) in
-  for mask = 1 to (1 lsl (n - 1)) - 1 do
-    let inside = Array.make n false in
-    inside.(0) <- true;
-    for b = 0 to n - 2 do
-      if (mask lsr b) land 1 = 1 then inside.(b + 1) <- true
-    done;
-    if not (Array.for_all (fun x -> x) inside) then begin
-      let phi = Conductance.of_cut g inside in
-      if phi < !best_phi then begin
-        best_phi := phi;
-        best := inside
-      end
-    end
-  done;
-  (!best, !best_phi)
-
 let decompose ?(phi = 0.05) ?(gamma = 0.25) g =
   let n = Graph.n g in
   let clusters = ref [] in
@@ -60,7 +39,7 @@ let decompose ?(phi = 0.05) ?(gamma = 0.25) g =
       | [ _ ] ->
         let certified, cut =
           if k <= 14 then begin
-            let inside, best_phi = best_cut_small sub in
+            let inside, best_phi = Conductance.best_cut sub in
             (best_phi >= phi, inside)
           end
           else begin

@@ -228,3 +228,167 @@ let suite =
         test_fiedler_barbell_gap;
       Alcotest.test_case "weighted sweep cut" `Quick test_sweep_cut_weighted;
     ]
+
+(* ------------------------------------------------ bit-identity oracles *)
+
+(* Verbatim copies of the seed power iteration — with its per-call
+   [normalized_apply], which rebuilt D^{-1/2} and allocated on every
+   application and took a Rayleigh quotient every step — and of the seed
+   small-cut enumeration, which allocated one array per mask. They pin the
+   allocation-free kernels to the same bits. *)
+module Seed = struct
+  let inv_sqrt_degrees g =
+    Array.init (Graph.n g) (fun v ->
+        let d = Graph.weighted_degree g v in
+        if d > 0. then 1. /. sqrt d else 0.)
+
+  let normalized_apply g x =
+    let n = Graph.n g in
+    let isd = inv_sqrt_degrees g in
+    let y = Linalg.Vec.create n in
+    Array.iter
+      (fun e ->
+        let u = e.Graph.u and v = e.Graph.v and w = e.Graph.w in
+        let xu = x.(u) *. isd.(u) and xv = x.(v) *. isd.(v) in
+        let d = w *. (xu -. xv) in
+        y.(u) <- y.(u) +. (d *. isd.(u));
+        y.(v) <- y.(v) -. (d *. isd.(v)))
+      (Graph.edges g);
+    y
+
+  let approx ?(iters = 400) g =
+    let n = Graph.n g in
+    let u0 =
+      Linalg.Vec.normalize
+        (Array.init n (fun v ->
+             let d = Graph.weighted_degree g v in
+             sqrt (Float.max d 0.)))
+    in
+    let deflate x =
+      let c = Linalg.Vec.dot x u0 in
+      Linalg.Vec.axpy (-.c) u0 x
+    in
+    let apply_m x =
+      let nx = normalized_apply g x in
+      Array.init n (fun i -> (2. *. x.(i)) -. nx.(i))
+    in
+    let start =
+      Linalg.Vec.normalize
+        (deflate
+           (Linalg.Vec.init n (fun i ->
+                let s = if i land 1 = 0 then 1. else -1. in
+                s
+                *. (1. +. (float_of_int ((i * 2654435761) land 0xffff) /. 65536.)))))
+    in
+    let v = ref start in
+    let mu = ref 0. in
+    for _ = 1 to iters do
+      let w = deflate (apply_m !v) in
+      let nw = Linalg.Vec.norm2 w in
+      if nw > 0. then begin
+        let w = Linalg.Vec.scale (1. /. nw) w in
+        mu := Linalg.Vec.dot w (apply_m w);
+        v := w
+      end
+    done;
+    let lambda2 = Float.max 0. (2. -. !mu) in
+    let isd = inv_sqrt_degrees g in
+    let x = Array.mapi (fun i xi -> xi *. isd.(i)) !v in
+    (lambda2, x)
+
+  let best_cut_small g =
+    let n = Graph.n g in
+    let best_phi = ref infinity in
+    let best = ref (Array.make n false) in
+    for mask = 1 to (1 lsl (n - 1)) - 1 do
+      let inside = Array.make n false in
+      inside.(0) <- true;
+      for b = 0 to n - 2 do
+        if (mask lsr b) land 1 = 1 then inside.(b + 1) <- true
+      done;
+      if not (Array.for_all (fun x -> x) inside) then begin
+        let phi = Expander.Conductance.of_cut g inside in
+        if phi < !best_phi then begin
+          best_phi := phi;
+          best := inside
+        end
+      end
+    done;
+    (!best, !best_phi)
+end
+
+(* A seeded weighted multigraph on n ∈ [2, 60] (half the cases n ≤ 14, the
+   exhaustive range): about one vertex in five isolated, one edge in four a
+   parallel copy of the previous one, weights log-uniform in [1e-6, 1024). *)
+let random_multigraph seed =
+  let r = Prng.create (Int64.of_int seed) in
+  let n = if Prng.bool r then 2 + Prng.int r 13 else 2 + Prng.int r 59 in
+  let live =
+    Array.of_list (List.filter (fun _ -> Prng.int r 5 <> 0) (List.init n Fun.id))
+  in
+  let k = Array.length live in
+  let weight () = 1e-6 *. ((1024. /. 1e-6) ** Prng.float r 1.) in
+  let edges = ref [] in
+  if k >= 2 then
+    for _ = 1 to Prng.int r ((3 * n) + 1) do
+      match !edges with
+      | e :: _ when Prng.int r 4 = 0 ->
+        edges := { e with Graph.w = weight () } :: !edges
+      | _ ->
+        let a = Prng.int r k in
+        let b = (a + 1 + Prng.int r (k - 1)) mod k in
+        edges := { Graph.u = live.(a); v = live.(b); w = weight () } :: !edges
+    done;
+  Graph.create n (List.rev !edges)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let oracle_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"fiedler and best cut bit-identical to seed" ~count:240
+      (make ~print:string_of_int Gen.(int_bound 1_000_000))
+      (fun seed ->
+        let g = random_multigraph seed in
+        let n = Graph.n g in
+        let iters = [| 0; 1; 7; 400 |].(seed mod 4) in
+        let l_seed, x_seed = Seed.approx ~iters g in
+        let l_new, x_new = Expander.Fiedler.approx ~iters g in
+        same_bits l_seed l_new
+        && Array.for_all2 same_bits x_seed x_new
+        && (n < 3 || n > 14
+           ||
+           let in_seed, phi_seed = Seed.best_cut_small g in
+           let in_new, phi_new = Expander.Conductance.best_cut g in
+           in_seed = in_new && same_bits phi_seed phi_new));
+  ]
+
+(* Gc.minor_words delta-of-deltas, as test_linalg pins the CG and Chebyshev
+   kernels: 25 and 5 power steps must allocate the same number of words,
+   i.e. a step allocates nothing. Bytecode boxes floats at every step, so
+   the assertion is native-only. *)
+let test_fiedler_steps_allocate_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let g = Graph_gen.connected_gnp ~seed:23L 60 0.15 in
+    let words k =
+      let w0 = Gc.minor_words () in
+      ignore (Expander.Fiedler.approx ~iters:k g);
+      Gc.minor_words () -. w0
+    in
+    ignore (words 2) (* warm-up *);
+    let d1 = words 5 in
+    let d2 = words 25 in
+    Alcotest.(check (float 0.)) "20 extra power steps allocate zero words" 0.
+      (d2 -. d1)
+  end
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "fiedler zero-alloc power steps" `Quick
+        test_fiedler_steps_allocate_nothing;
+    ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+         ~long:false)
+      oracle_tests

@@ -240,3 +240,58 @@ let suite =
         test_prepared_distinct_rhs;
       Alcotest.test_case "prepared accessors" `Quick test_prepared_accessors;
     ]
+
+(* ------------------------------------------------ pinned κ across commits *)
+
+(* FNV-1a over the IEEE-754 bits of every entry, little-endian. *)
+let fnv_bits x =
+  Array.fold_left
+    (fun h xi ->
+      let b = Int64.bits_of_float xi in
+      let h = ref h in
+      for k = 0 to 7 do
+        h :=
+          Wire.Fnv.add_byte !h
+            (Int64.to_int (Int64.shift_right_logical b (8 * k)))
+      done;
+      !h)
+    Wire.Fnv.offset x
+
+(* E2's n-sweep fixtures (bench/main.ml, seed 7, eps = 1e-6). κ only
+   reaches the ungated [stats] of BENCH_E2.json and the prepared-vs-one-shot
+   test moves with the code it compares, so κ's bits, the Chebyshev
+   iteration count and the solution's bits are pinned here as recorded
+   before the allocation-free rewrite of Fiedler, the small-cut enumeration
+   and the κ power loops. *)
+let test_e2_nsweep_pinned () =
+  List.iter
+    (fun (n, kappa_bits, iterations, x_fnv) ->
+      let g = Gen.connected_gnp ~seed:7L n 0.3 in
+      let b =
+        Linalg.Vec.sub (Linalg.Vec.basis n 0) (Linalg.Vec.basis n (n - 1))
+      in
+      let r = Laplacian.Solver.solve ~eps:1e-6 g b in
+      Alcotest.(check int64)
+        (Printf.sprintf "n=%d kappa bits" n)
+        kappa_bits
+        (Int64.bits_of_float r.Laplacian.Solver.kappa);
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d iterations" n)
+        iterations r.Laplacian.Solver.iterations;
+      Alcotest.(check int64)
+        (Printf.sprintf "n=%d x fnv" n)
+        x_fnv
+        (fnv_bits r.Laplacian.Solver.x))
+    [
+      (30, 4608083138725491504L, 7, -2590138469489925068L);
+      (60, 4618029039925332268L, 26, -495639194846872154L);
+      (90, 4614928519738668452L, 16, 98993935538581910L);
+      (120, 4618416613683784602L, 23, 5453984488452370630L);
+    ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "E2 n-sweep kappa pinned" `Quick
+        test_e2_nsweep_pinned;
+    ]
