@@ -17,8 +17,8 @@ let kruskal g =
     sorted
 
 (* The distributed algorithm itself lives in {!Programs.Make}; this wrapper
-   runs it on the clique kernel and packages the measured rounds. *)
+   runs it on a scoped clique kernel and packages the measured rounds. *)
 let minimum_spanning_tree g =
-  let rt = Kernel.clique (Graph.n g) in
-  let edges, weight, phases = Kernel.Sim_programs.boruvka rt g in
-  { edges; weight; rounds = Kernel.rounds rt; phases }
+  Kernel.with_clique (Graph.n g) (fun rt ->
+      let edges, weight, phases = Kernel.Sim_programs.boruvka rt g in
+      { edges; weight; rounds = Kernel.rounds rt; phases })

@@ -1,15 +1,18 @@
 module On_sim = Runtime.Make (Sim)
 module On_congest = Runtime.Make (Congest)
-module On_socket = Runtime.Make (Socket)
 module On_bcast = Runtime.Make (Broadcast)
 module Sim_programs = Programs.Make (On_sim)
 module Congest_programs = Programs.Make (On_congest)
-module Socket_programs = Programs.Make (On_socket)
 module Bcast_programs = Programs.Make (On_bcast)
 
 type t = On_sim.t
 
 let clique ?phase n = On_sim.create ?phase (Sim.create n)
+
+let with_clique ?phase n f =
+  let sim = Sim.create n in
+  Fun.protect ~finally:(fun () -> Sim.close sim) (fun () ->
+      f (On_sim.create ?phase sim))
 
 let congest ?phase g = On_congest.create ?phase (Congest.create g)
 

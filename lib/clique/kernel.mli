@@ -7,21 +7,20 @@
     ({!Programs}) instantiated on each.
 
     The charged layers (sparsifier, solver, IPMs, rounding) talk to the
-    clique runtime through the aliases below: [Kernel.clique n] replaces the
-    old bare [Cost.create ()] ledger, and [Kernel.charge rt ~phase r] is the
-    single entry point through which all analytic round charges flow. *)
+    clique runtime through the aliases below: [Kernel.clique n] is their
+    ledger, and [Kernel.charge rt ~phase r] is the single entry point
+    through which all analytic round charges flow. Such a runtime only
+    charges, so it never builds a delivery engine ({!Sim.create}): no
+    arena, no worker process. A runtime whose programs exchange messages
+    (Borůvka, the Cole–Vishkin contraction of the Eulerian orientation)
+    comes from {!with_clique}, which closes its socket session when the
+    scope ends. *)
 
 module On_sim : Runtime.S with type transport = Sim.t
 (** The congested-clique runtime — {!Sim} under the cost ledger. *)
 
 module On_congest : Runtime.S with type transport = Congest.t
 (** The CONGEST-model sibling — {!Congest} under the same ledger. *)
-
-module On_socket : Runtime.S with type transport = Socket.t
-(** The runtime over the raw multi-process socket transport ({!Socket}) —
-    what the differential suite drives directly when it needs a session
-    handle. Ordinary shard runs go through {!On_sim} with the [Shard]
-    kernel instead. *)
 
 module On_bcast : Runtime.S with type transport = Broadcast.t
 (** The runtime over the Broadcast Congested Clique kernel
@@ -34,9 +33,6 @@ module Sim_programs : Programs.S with type runtime = On_sim.t
 module Congest_programs : Programs.S with type runtime = On_congest.t
 (** The generic node programs on the CONGEST runtime. *)
 
-module Socket_programs : Programs.S with type runtime = On_socket.t
-(** The generic node programs on the raw socket-session runtime. *)
-
 module Bcast_programs : Programs.S with type runtime = On_bcast.t
 (** The generic node programs on the broadcast kernel — same results as
     on every unicast kernel (the receivers filter the wider inboxes). *)
@@ -45,7 +41,16 @@ type t = On_sim.t
 (** The clique runtime — the type every charged layer carries. *)
 
 val clique : ?phase:string -> int -> t
-(** [clique n] is a fresh runtime over a fresh [n]-node clique. *)
+(** [clique n] is a fresh runtime over a fresh [n]-node clique. Under
+    [CC_SHARDS ≥ 2] its first exchange starts a worker session that only
+    the at-exit hook closes; runtimes that exchange should come from
+    {!with_clique}. *)
+
+val with_clique : ?phase:string -> int -> (t -> 'a) -> 'a
+(** [with_clique n f] runs [f] on a fresh [clique n] and closes the
+    clique's socket session, if its first exchange built one, when [f]
+    returns or raises (a no-op on the arena kernel). [f]'s runtime must
+    not exchange after the scope ends; its ledger stays readable. *)
 
 val congest : ?phase:string -> Graph.t -> On_congest.t
 (** [congest g] is a fresh runtime over a fresh CONGEST kernel on [g]. *)

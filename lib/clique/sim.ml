@@ -1,11 +1,16 @@
 type kernel = Arena | Shard
 
-type engine = Local of Runtime.Arena.t | Sharded of Socket.t
+(* The delivery engine is built by the first call that delivers through
+   it; until then the session is only a pair of counters. *)
+type engine = Unbuilt | Local of Runtime.Arena.t | Sharded of Socket.t
 
 type t = {
   n : int;
-  engine : engine;
+  kernel : kernel;
+  mutable engine : engine;
   mutable rounds : int;
+  (* Words counted here: every word on the arena engine, and on the
+     sharded one the words routed before its session was built. *)
   mutable words_sent : int;
 }
 
@@ -22,33 +27,51 @@ let create ?kernel n =
       let c = Runtime.Config.get () in
       if c.shards > 1 || c.force_socket then Shard else Arena
   in
-  let engine =
-    match kernel with
-    | Arena -> Local (Runtime.Arena.create ~n ())
-    | Shard -> Sharded (Socket.create n)
-  in
-  { n; engine; rounds = 0; words_sent = 0 }
+  { n; kernel; engine = Unbuilt; rounds = 0; words_sent = 0 }
 
 let n t = t.n
 
+(* The socket session takes over the round counter at build time, seeded
+   with the rounds already charged, so [Shard_down.round] and the
+   supervisor log number rounds as if the session had existed from
+   [create]. *)
+let socket t =
+  match t.engine with
+  | Sharded s -> s
+  | _ ->
+    let s = Socket.create t.n in
+    Socket.charge s t.rounds;
+    t.engine <- Sharded s;
+    s
+
+let arena t =
+  match t.engine with
+  | Local a -> a
+  | _ ->
+    let a = Runtime.Arena.create ~n:t.n () in
+    t.engine <- Local a;
+    a
+
 let rounds t =
-  match t.engine with Sharded s -> Socket.rounds s | Local _ -> t.rounds
+  match t.engine with Sharded s -> Socket.rounds s | _ -> t.rounds
 
 let words_sent t =
-  match t.engine with Sharded s -> Socket.words_sent s | Local _ -> t.words_sent
+  match t.engine with
+  | Sharded s -> t.words_sent + Socket.words_sent s
+  | _ -> t.words_sent
 
 let recovery_rounds t =
-  match t.engine with Sharded s -> Socket.recovery_rounds s | Local _ -> 0
+  match t.engine with Sharded s -> Socket.recovery_rounds s | _ -> 0
 
 let default_width = 2
 
 let unicast = true
 
 let exchange ?(width = default_width) t outboxes =
-  match t.engine with
-  | Sharded s -> Socket.exchange ~width s outboxes
-  | Local arena ->
-    let inboxes, words = Runtime.Arena.deliver arena ~width outboxes in
+  match t.kernel with
+  | Shard -> Socket.exchange ~width (socket t) outboxes
+  | Arena ->
+    let inboxes, words = Runtime.Arena.deliver (arena t) ~width outboxes in
     t.words_sent <- t.words_sent + words;
     t.rounds <- t.rounds + 1;
     inboxes
@@ -56,16 +79,16 @@ let exchange ?(width = default_width) t outboxes =
 let route ?(width = default_width) t msgs =
   match t.engine with
   | Sharded s -> Socket.route ~width s msgs
-  | Local _ ->
+  | _ ->
     let inboxes, words, batches = Runtime.Mailbox.route ~n:t.n ~width msgs in
     t.words_sent <- t.words_sent + words;
     t.rounds <- t.rounds + (batches * Runtime.Cost.lenzen_routing_rounds);
     inboxes
 
 let broadcast ?(width = default_width) t values =
-  match t.engine with
-  | Sharded s -> Socket.broadcast ~width s values
-  | Local _ ->
+  match t.kernel with
+  | Shard -> Socket.broadcast ~width (socket t) values
+  | Arena ->
     let view, words = Runtime.Mailbox.broadcast ~n:t.n ~width values in
     t.words_sent <- t.words_sent + words;
     t.rounds <- t.rounds + Runtime.Cost.broadcast_rounds;
@@ -75,11 +98,12 @@ let charge t r =
   if r < 0 then invalid_arg "Sim.charge: negative rounds";
   match t.engine with
   | Sharded s -> Socket.charge s r
-  | Local _ -> t.rounds <- t.rounds + r
+  | _ -> t.rounds <- t.rounds + r
 
-let session t = match t.engine with Sharded s -> Some s | Local _ -> None
+let close t = match t.engine with Sharded s -> Socket.close s | _ -> ()
 
 let stats t =
   match t.engine with
+  | Unbuilt -> []
   | Local a -> Runtime.Arena.stats a
   | Sharded s -> Socket.stats s

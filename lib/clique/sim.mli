@@ -18,10 +18,11 @@ type t
 type kernel = Arena | Shard
 (** Which delivery engine [exchange] runs on. [Arena] (the default) is the
     in-process reusable-buffer counting-sort kernel of {!Runtime.Arena};
-    [Shard] is the multi-process socket transport of {!Socket}, spawning
-    [CC_SHARDS] workers at [create]. Both are bit-identical in rounds,
-    words, inbox contents, errors, and sanitizer transcripts — the differential suite [test_kernel_equiv] holds them to
-    that. *)
+    [Shard] is the multi-process socket transport of {!Socket}, whose
+    [CC_SHARDS] workers start at the first [exchange] or [broadcast].
+    Both are bit-identical in rounds, words, inbox contents, errors, and
+    sanitizer transcripts — the differential suite [test_kernel_equiv]
+    holds them to that. *)
 
 exception
   Bandwidth_exceeded of {
@@ -40,8 +41,17 @@ val name : string
 val create : ?kernel:kernel -> int -> t
 (** [create n] makes a clique of [n] nodes running on [kernel]. The
     default is [Shard] when the {!Runtime.Config} asks for more than one
-    shard ([CC_SHARDS]) or sets [force_socket], else [Arena]. The arena
-    kernel sizes its buffers once here and reuses them every round. *)
+    shard ([CC_SHARDS]) or sets [force_socket], else [Arena].
+
+    [create] records [n] and the kernel and builds nothing else. The
+    engine is built by the first call that must deliver through it:
+    {!exchange} on either kernel, or {!broadcast} on [Shard]. The arena is
+    sized then and reused every later round; the socket session is
+    seeded with the rounds charged so far, so its round numbering
+    ([Shard_down.round], the supervisor log) is as if it had existed from
+    [create]. {!route} and {!charge} are coordinator-side counters on both
+    kernels, so a session that only charges never allocates an [n²] width
+    table and never forks a worker. *)
 
 val n : t -> int
 
@@ -92,12 +102,13 @@ val charge : t -> int -> unit
     computation stands for a subroutine whose rounds are charged, e.g. the
     final O(1)-size cycle leader election). *)
 
-val session : t -> Socket.t option
-(** The socket session behind a [Shard]-kernel instance ([None] on the
-    arena kernel) — the hook tests use to close sessions or kill
-    workers deliberately. *)
+val close : t -> unit
+(** Close the socket session if one was built; a no-op otherwise.
+    {!Kernel.with_clique} calls it when its scope ends. *)
 
 val stats : t -> (string * int) list
 (** The arena's [kernel.arena.*] counters ({!Runtime.Arena.stats}), or the
     socket transport's [wire.*]/[shard.*] counters on the [Shard]
-    kernel. *)
+    kernel. An engine not yet built reports no counters ([[]]), so
+    [Runtime.S.export_metrics] of a ledger-only runtime carries only the
+    ledger keys and [kernel.domains]. *)

@@ -886,6 +886,8 @@ let close t =
 
 let shutdown_all () = List.iter close !live
 
+let live_sessions () = List.length !live
+
 let exit_hook_registered = Atomic.make false
 
 (* Recovery failed (or the policy is fail-stop): kill and reap the whole

@@ -98,6 +98,10 @@ val close : t -> unit
 val shutdown_all : unit -> unit
 (** {!close} every live session (the test-suite and at-exit hook). *)
 
+val live_sessions : unit -> int
+(** How many sessions are registered — built and not yet closed, a
+    session that went down included. *)
+
 val shards : t -> int
 (** Worker-slot count of this session (dead slots included). *)
 

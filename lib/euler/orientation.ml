@@ -92,9 +92,9 @@ let contract_once ?rng ~succ ~pred ~active ~eligible ~ring_of () =
       (* The coloring chain runs as real node programs over the active
          positions; only its measured round count flows back (charged into
          the orientation's ledger by the caller). *)
-      let rt = Clique.Kernel.clique k in
       let colors, cv_rounds =
-        Clique.Kernel.Sim_programs.three_color rt ~ids ~succ:s ~pred:p
+        Clique.Kernel.with_clique k (fun rt ->
+            Clique.Kernel.Sim_programs.three_color rt ~ids ~succ:s ~pred:p)
       in
       let matched =
         Coloring.maximal_matching_on_cycles ~colors ~succ:s ~pred:p

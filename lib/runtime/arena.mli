@@ -1,6 +1,7 @@
 (** The arena message kernel: a reusable per-round delivery buffer.
 
-    One [Arena.t] is sized once per simulation and reused every round: the
+    One [Arena.t] is sized once per simulation — at [Congest.create], or
+    at a clique's first exchange — and reused every round: the
     flat message table (parallel [src]/[dst]/payload-reference arrays), the
     counting-sort scratch, and the per-link width table are {e reset}, not
     reallocated, on each {!deliver}. Delivery is a counting sort into

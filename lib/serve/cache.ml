@@ -1,4 +1,4 @@
-(* A small thread-safe LRU keyed by fingerprint strings.
+(* A small thread-safe LRU keyed by canonical-input strings.
 
    Two-level locking: the table mutex only covers lookup/insert/evict
    bookkeeping (never a build or a solve), while each entry carries its

@@ -1,8 +1,9 @@
-(** Thread-safe LRU artifact cache keyed by fingerprint strings.
+(** Thread-safe LRU artifact cache keyed by canonical-input strings.
 
     The daemon keeps one of these per process: entries hold prepared
     solver handles, sparsifiers, and memoized pipeline reports, keyed by
-    {!Fingerprint} strings. Each entry carries its own mutex serializing
+    the exact input ({!Fingerprint.graph_key}, {!Fingerprint.digraph_key})
+    behind a per-kind prefix. Each entry carries its own mutex serializing
     use of the artifact (prepared handles own mutable workspaces), so
     same-key jobs take turns while different-key jobs run concurrently;
     the table lock itself is never held across a build or a solve. *)

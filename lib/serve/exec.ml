@@ -118,7 +118,9 @@ let run_solve ~policy ~cache ~inject ~nocache ~g ~b ~solver ~eps ~return_x =
     with_policy ~policy ~inject ~name:"serve.solve" ~dim:n ~check
       ~corrupt:corrupt_report prep_solve
   in
-  let gfp = Fingerprint.float (Fingerprint.graph g) eps in
+  let key =
+    Printf.sprintf "%Lx:%s" (Int64.bits_of_float eps) (Fingerprint.graph_key g)
+  in
   let report, attempts, recovered, cache_state =
     match solver with
     | Job.Chebyshev ->
@@ -129,9 +131,8 @@ let run_solve ~policy ~cache ~inject ~nocache ~g ~b ~solver ~eps ~return_x =
         in
         (r, a, rc, `Bypass)
       else
-        let key = "solve-cheb:" ^ Fingerprint.to_hex gfp in
         let (r, a, rc), hit =
-          Cache.use cache key
+          Cache.use cache ("solve-cheb:" ^ key)
             ~build:(fun () -> A_cheb (Laplacian.Solver.prepare ~eps g))
             (function
               | A_cheb prep ->
@@ -147,9 +148,8 @@ let run_solve ~policy ~cache ~inject ~nocache ~g ~b ~solver ~eps ~return_x =
         in
         (r, a, rc, `Bypass)
       else
-        let key = "solve-cg:" ^ Fingerprint.to_hex gfp in
         let (r, a, rc), hit =
-          Cache.use cache key
+          Cache.use cache ("solve-cg:" ^ key)
             ~build:(fun () -> A_cg (Laplacian.Solver.prepare_cg ~eps g))
             (function
               | A_cg prep ->
@@ -215,7 +215,7 @@ let run ~policy ~cache (job : Job.t) =
       in
       Ok
         (memoized ~cache ~nocache
-           ~key:("sparsify:" ^ Fingerprint.to_hex (Fingerprint.graph g))
+           ~key:("sparsify:" ^ Fingerprint.graph_key g)
            ~build:(fun () ->
              with_policy ~policy ~inject ~name:"serve.sparsify"
                ~dim:(Graph.n g) ~check ~corrupt (fun () ->
@@ -245,12 +245,9 @@ let run ~policy ~cache (job : Job.t) =
       let corrupt (r : Maxflow_ipm.report) =
         { r with Maxflow_ipm.value = r.Maxflow_ipm.value + 1 }
       in
-      let key =
-        Printf.sprintf "maxflow:%d:%d:%s" s t
-          (Fingerprint.to_hex (Fingerprint.digraph net))
-      in
       Ok
-        (memoized ~cache ~nocache ~key
+        (memoized ~cache ~nocache
+           ~key:("maxflow:" ^ Fingerprint.digraph_key ~s ~t net)
            ~build:(fun () ->
              with_policy ~policy ~inject ~name:"serve.maxflow"
                ~dim:(Digraph.n net) ~check ~corrupt (fun () ->
@@ -279,7 +276,7 @@ let run ~policy ~cache (job : Job.t) =
       in
       Ok
         (memoized ~cache ~nocache
-           ~key:("mst:" ^ Fingerprint.to_hex (Fingerprint.graph g))
+           ~key:("mst:" ^ Fingerprint.graph_key g)
            ~build:(fun () ->
              with_policy ~policy ~inject ~name:"serve.mst" ~dim:(Graph.n g)
                ~check ~corrupt (fun () ->

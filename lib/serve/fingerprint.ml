@@ -34,8 +34,36 @@ let vec fp (v : Linalg.Vec.t) =
     v;
   !fp
 
-let float fp x = Wire.Fnv.add_int fp (Int64.to_int (Int64.bits_of_float x))
-
-let string = Wire.Fnv.add_string
-
 let to_hex fp = Printf.sprintf "%016Lx" fp
+
+(* Canonical keys: the fields [graph]/[digraph] fold, each written as 8
+   little-endian bytes with nothing dropped (the hash folds a weight's
+   IEEE bits through a 63-bit int). Every field is fixed-width and each
+   count precedes the list it sizes, so the encoding is injective. *)
+let canonical fill =
+  let b = Buffer.create 256 in
+  fill (Buffer.add_int64_le b);
+  Buffer.contents b
+
+let graph_key g =
+  canonical (fun add ->
+      add (Int64.of_int (Graph.n g));
+      add (Int64.of_int (Graph.m g));
+      Array.iter
+        (fun (e : Graph.edge) ->
+          add (Int64.of_int e.u);
+          add (Int64.of_int e.v);
+          add (Int64.bits_of_float e.w))
+        (Graph.edges g))
+
+let digraph_key ~s ~t d =
+  canonical (fun add ->
+      List.iter
+        (fun i -> add (Int64.of_int i))
+        [ s; t; Digraph.n d; Digraph.m d ];
+      Array.iter
+        (fun (a : Digraph.arc) ->
+          List.iter
+            (fun i -> add (Int64.of_int i))
+            [ a.src; a.dst; a.cap; a.cost ])
+        (Digraph.arcs d))

@@ -1,11 +1,13 @@
-(** Structural FNV-1a fingerprints for the daemon's cache keys.
+(** Structural FNV-1a fingerprints and canonical cache keys.
 
     A fingerprint folds the full structure (sizes, endpoints, weight/cap
     bits) through {!Wire.Fnv}, so equal inputs — however they were
-    specified on the wire — map to the same cache entry, across processes
-    and runs. Distinct inputs colliding is as unlikely as any 64-bit hash;
-    a collision can only ever serve a wrong *artifact*, never corrupt one,
-    and certified policies re-check outputs against the actual input. *)
+    specified on the wire — get the same 16-hex-digit spelling, across
+    processes and runs. Replies carry it; the daemon's cache does not key
+    on it, because FNV-1a collisions can be built on purpose and a
+    colliding graph would be served another graph's artifact under the
+    default [none] policy. The cache keys on {!graph_key} /
+    {!digraph_key}, the exact fields the fingerprint folds. *)
 
 val graph : Graph.t -> int64
 
@@ -14,11 +16,14 @@ val digraph : Digraph.t -> int64
 val vec : int64 -> Linalg.Vec.t -> int64
 (** Fold a vector into an existing fingerprint. *)
 
-val float : int64 -> float -> int64
-(** Fold one float (by IEEE bit pattern). *)
-
-val string : int64 -> string -> int64
-(** Fold a string ({!Wire.Fnv.add_string}). *)
-
 val to_hex : int64 -> string
-(** 16 lowercase hex digits — the cache-key / wire spelling. *)
+(** 16 lowercase hex digits — the wire spelling. *)
+
+val graph_key : Graph.t -> string
+(** The canonical input [graph] folds — [n], [m], every edge's endpoints
+    and weight bits in edge order — as fixed-width bytes. Two keys are
+    equal exactly when those inputs are. *)
+
+val digraph_key : s:int -> t:int -> Digraph.t -> string
+(** The same for a flow instance: the terminals, then the fields
+    [digraph] folds ([n], [m], every arc's endpoints, capacity, cost). *)

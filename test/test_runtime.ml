@@ -325,6 +325,68 @@ let test_three_color_parity_across_kernels () =
   Alcotest.(check int) "ledger charged under coloring" r1
     (K.phase_rounds rt_sim "coloring")
 
+(* --------------------------------------------- engines built on demand *)
+
+(* A runtime that only charges builds no delivery engine: at n = 1024 the
+   arena's dense width table alone would be two n² int arrays (≈2.1M
+   words), so the allocation delta separates "built" from "not built" by
+   two orders of magnitude. *)
+let test_ledger_only_runtime_allocates_no_table () =
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words
+  in
+  let before = allocated () in
+  let rt = K.clique 1024 in
+  K.charge rt ~phase:"sparsify" 12;
+  K.charge rt ~phase:"chebyshev" 40;
+  K.charge rt ~phase:"rounding" 3;
+  let words = allocated () -. before in
+  Alcotest.(check int) "charges land in the ledger" 55 (K.rounds rt);
+  if words >= 10_000. then
+    Alcotest.failf "ledger-only clique 1024 allocated %.0f words" words
+
+(* What an engine reports before and after it is built, and with it the
+   key set [export_metrics] writes: no transport counters until the first
+   exchange, then the arena's. *)
+let test_unbuilt_engine_stats () =
+  let rt =
+    K.On_sim.create ~sanitize:false
+      (Clique.Sim.create ~kernel:Clique.Sim.Arena 4)
+  in
+  let sim = K.On_sim.transport rt in
+  let exported () =
+    let m = Metrics.create () in
+    K.On_sim.export_metrics rt m;
+    match Metrics.to_json m with
+    | Metrics.Json.Assoc sections ->
+      List.sort compare
+        (List.concat_map
+           (function _, Metrics.Json.Assoc kv -> List.map fst kv | _ -> [])
+           sections)
+    | _ -> []
+  in
+  K.charge rt 2;
+  ignore (K.On_sim.route rt [ (0, 1, [| 7 |]) ]);
+  ignore (K.On_sim.broadcast rt (Array.make 4 [| 1 |]));
+  Alcotest.(check (list (pair string int)))
+    "charge/route/broadcast build nothing" [] (Clique.Sim.stats sim);
+  Alcotest.(check (list string))
+    "ledger-only export"
+    [ "kernel.domains"; "ledger.clique.main"; "ledger.clique.total";
+      "ledger.clique.words" ]
+    (exported ());
+  ignore (K.On_sim.exchange rt (Array.make 4 []));
+  Alcotest.(check (list string))
+    "first exchange builds the arena"
+    [ "kernel.arena.dense"; "kernel.arena.grows"; "kernel.arena.resets";
+      "kernel.arena.slot_words_reused"; "kernel.domains";
+      "ledger.clique.main"; "ledger.clique.total"; "ledger.clique.words" ]
+    (exported ());
+  Alcotest.(check int) "counters carry over"
+    (2 + Runtime.Cost.lenzen_routing_rounds + Runtime.Cost.broadcast_rounds + 1)
+    (Clique.Sim.rounds sim)
+
 let suite =
   [
     Alcotest.test_case "sim exchange bandwidth" `Quick
@@ -355,4 +417,8 @@ let suite =
       test_boruvka_parity_across_kernels;
     Alcotest.test_case "three-color parity across kernels" `Quick
       test_three_color_parity_across_kernels;
+    Alcotest.test_case "ledger-only runtime allocates no n^2 table" `Quick
+      test_ledger_only_runtime_allocates_no_table;
+    Alcotest.test_case "unbuilt engine reports no stats" `Quick
+      test_unbuilt_engine_stats;
   ]

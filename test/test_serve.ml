@@ -400,6 +400,88 @@ let test_job_parse_roundtrip () =
   | Ok _ -> Alcotest.fail "array accepted as request"
   | Error _ -> ()
 
+(* ------------------------------------------------- canonical cache keys *)
+
+(* Two weights the FNV fingerprint folds alike: they differ only in the
+   sign bit, which the fold's 63-bit int drops. [Graph.create] accepts
+   both (a NaN is not <= 0). *)
+let nan_pos = Int64.float_of_bits 0x7FF8000000000000L
+
+let nan_neg = Int64.float_of_bits 0xFFF8000000000000L
+
+let test_key_separates_fnv_collision () =
+  let g w = Graph.create 2 [ { Graph.u = 0; v = 1; w } ] in
+  Alcotest.(check bool)
+    "fingerprints collide" true
+    (Serve.Fingerprint.graph (g nan_pos) = Serve.Fingerprint.graph (g nan_neg));
+  Alcotest.(check bool)
+    "keys differ" false
+    (Serve.Fingerprint.graph_key (g nan_pos)
+    = Serve.Fingerprint.graph_key (g nan_neg))
+
+(* Keys are equal exactly when the canonical inputs are: same sizes, the
+   same edges (weights by bit pattern) or arcs in the same order, the same
+   terminals. The spaces are small and a third of the pairs are equal on
+   purpose, so both sides of the equivalence are exercised. *)
+let test_keys_equal_iff_inputs_equal () =
+  let open QCheck2.Gen in
+  let pair_of ?(near = pure) spec =
+    spec >>= fun a -> map (fun b -> (a, b)) (oneof [ pure a; near a; spec ])
+  in
+  let weight = oneofl [ 1.; 2.; nan_pos; nan_neg ] in
+  let graph_spec =
+    let* n = int_range 2 3 in
+    let* edges =
+      list_size (int_range 0 3)
+        (let* u = int_range 0 (n - 1) in
+         let* k = int_range 1 (n - 1) in
+         let* w = weight in
+         pure (u, (u + k) mod n, w))
+    in
+    pure (n, edges)
+  in
+  (* Same shape, weights redrawn: the pairs a lossy weight encoding would
+     merge. *)
+  let reweigh (n, edges) =
+    map
+      (fun edges -> (n, edges))
+      (flatten_l
+         (List.map (fun (u, v, _) -> map (fun w -> (u, v, w)) weight) edges))
+  in
+  let bits (n, edges) =
+    (n, List.map (fun (u, v, w) -> (u, v, Int64.bits_of_float w)) edges)
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:500 ~name:"graph_key = canonical equality"
+       (pair_of ~near:reweigh graph_spec) (fun (a, b) ->
+         let key (n, edges) =
+           Serve.Fingerprint.graph_key
+             (Graph.create n
+                (List.map (fun (u, v, w) -> { Graph.u; v; w }) edges))
+         in
+         (key a = key b) = (bits a = bits b)));
+  let flow_spec =
+    let* n = int_range 2 3 in
+    let* s = int_range 0 (n - 1) in
+    let* t = int_range 0 (n - 1) in
+    let* arcs =
+      list_size (int_range 0 3)
+        (let* src = int_range 0 (n - 1) in
+         let* k = int_range 1 (n - 1) in
+         let* cap = int_range 0 2 in
+         let* cost = int_range 0 1 in
+         pure { Digraph.src; dst = (src + k) mod n; cap; cost })
+    in
+    pure (n, s, t, arcs)
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:500 ~name:"digraph_key = canonical equality"
+       (pair_of flow_spec) (fun (a, b) ->
+         let key (n, s, t, arcs) =
+           Serve.Fingerprint.digraph_key ~s ~t (Digraph.create n arcs)
+         in
+         (key a = key b) = (a = b)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -424,6 +506,10 @@ let () =
             test_cache_hit_identical_output;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
+          Alcotest.test_case "cache key separates an FNV collision" `Quick
+            test_key_separates_fnv_collision;
+          Alcotest.test_case "cache keys equal iff inputs equal" `Quick
+            test_keys_equal_iff_inputs_equal;
         ] );
       ( "policy",
         [

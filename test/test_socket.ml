@@ -490,6 +490,68 @@ let test_shards_clamped () =
     (Sock.exchange t out);
   Sock.close t
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let with_two_shards f =
+  Sock.shutdown_all ();
+  Runtime.Config.with_
+    { (Runtime.Config.get ()) with Runtime.Config.shards = 2 }
+    f
+
+(* The session a clique builds at its first exchange carries the rounds
+   and words counted before it, so [Shard_down.round] and the supervisor
+   log number rounds as if the session had existed from [create]. *)
+let test_session_built_at_first_exchange () =
+  with_two_shards (fun () ->
+      let n = 6 in
+      let sim = Clique.Sim.create n in
+      Clique.Sim.charge sim 5;
+      ignore (Clique.Sim.route sim [ (0, 1, [| 7 |]) ]);
+      Alcotest.(check int) "charge and route build nothing" 0
+        (Sock.live_sessions ());
+      let out = all_to_all n in
+      let expected, words = local_deliver ~n ~width:2 out in
+      Alcotest.check inboxes_t "first exchange delivers" expected
+        (Clique.Sim.exchange sim out);
+      Alcotest.(check int) "one session" 1 (Sock.live_sessions ());
+      Alcotest.(check int) "rounds carried into the session"
+        (5 + Runtime.Cost.lenzen_routing_rounds + 1)
+        (Clique.Sim.rounds sim);
+      Alcotest.(check int) "words carried" (1 + words)
+        (Clique.Sim.words_sent sim);
+      Clique.Sim.close sim;
+      Alcotest.(check int) "closed" 0 (Sock.live_sessions ()))
+
+(* Sessions live only where messages move. Ledger-only pipelines (the
+   Theorem 1.1 solver) never start a worker; the exchanging programs
+   (Borůvka, the Cole–Vishkin contraction) close theirs when their scope
+   ends, so a long sequential run holds neither processes nor
+   descriptors. *)
+let test_sessions_close_in_scope () =
+  with_two_shards (fun () ->
+      let fds = open_fds () in
+      let g = Gen.connected_gnp ~seed:5L 24 0.3 in
+      let b = Array.init (Graph.n g) (fun i -> if i = 0 then 1. else 0.) in
+      for _ = 1 to 50 do
+        ignore (Laplacian.Solver.solve ~eps:1e-4 g b);
+        Alcotest.(check int) "a solve spawns no session" 0
+          (Sock.live_sessions ())
+      done;
+      let even = Gen.even_gnp ~seed:9L 20 0.4 in
+      let mst = Clique.Boruvka.minimum_spanning_tree g in
+      for _ = 1 to 50 do
+        let r = Clique.Boruvka.minimum_spanning_tree g in
+        Alcotest.(check (list int)) "same tree" mst.Clique.Boruvka.edges
+          r.Clique.Boruvka.edges
+      done;
+      for _ = 1 to 20 do
+        let r = Euler.Orientation.orient even in
+        Alcotest.(check bool) "balanced" true
+          (Euler.Orientation.check even r.Euler.Orientation.orientation)
+      done;
+      Alcotest.(check int) "every session closed" 0 (Sock.live_sessions ());
+      Alcotest.(check int) "descriptors back to their count" fds (open_fds ()))
+
 let () =
   Alcotest.run "socket"
     [
@@ -533,5 +595,9 @@ let () =
           Alcotest.test_case "shutdown_all closes every session" `Quick
             test_shutdown_all;
           Alcotest.test_case "shards clamp to n" `Quick test_shards_clamped;
+          Alcotest.test_case "session built at first exchange" `Quick
+            test_session_built_at_first_exchange;
+          Alcotest.test_case "sessions close in scope" `Quick
+            test_sessions_close_in_scope;
         ] );
     ]
