@@ -23,9 +23,10 @@ let create n edge_list =
           (Printf.sprintf "Graph.create: edge (%d,%d) out of range" e.u e.v);
       if e.u = e.v then
         invalid_arg (Printf.sprintf "Graph.create: self-loop at %d" e.u);
-      if e.w <= 0. then
+      if not (Float.is_finite e.w) || e.w <= 0. then
         invalid_arg
-          (Printf.sprintf "Graph.create: non-positive weight %g on (%d,%d)"
+          (Printf.sprintf
+             "Graph.create: non-positive or non-finite weight %g on (%d,%d)"
              e.w e.u e.v))
     edge_list;
   let edges = Array.of_list edge_list in

@@ -13,7 +13,7 @@ type t
 val create : int -> edge list -> t
 (** [create n edges] builds a graph on vertices [0..n-1]. Raises
     [Invalid_argument] on out-of-range endpoints, self-loops, or
-    non-positive weights. *)
+    non-positive or non-finite (NaN, ±infinity) weights. *)
 
 val n : t -> int
 (** Number of vertices. *)

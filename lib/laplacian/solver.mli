@@ -5,9 +5,12 @@
       integer weight classes);
     + build a deterministic spectral sparsifier [H] ({!Sparsify.Spectral});
       after this phase [H] is known to every node;
-    + estimate the pencil condition number [κ] with distributed power
-      iteration — each iteration is one [L_G]-matvec round, the [L_H†]
-      applications are node-internal;
+    + bound the pencil condition number [κ] of [(L_G, L_H)]: when [H] has
+      exactly [G]'s support (parallel edges merged), the per-edge weight
+      ratios bracket the pencil ({!certified_bounds}) and one broadcast
+      round agrees on them; otherwise a Lanczos estimate read off
+      [L_H†]-preconditioned CG, one [L_G]-matvec round per step (at most
+      20), the [L_H†] applications node-internal;
     + run preconditioned Chebyshev (Corollary 2.3): [O(√κ·log(1/ε))]
       iterations of one matvec round plus an internal [L_H]-solve.
 
@@ -22,15 +25,25 @@ type inner_solver =
 
 type report = {
   x : Linalg.Vec.t;  (** the approximate solution *)
-  iterations : int;  (** Chebyshev iterations used *)
-  kappa : float;  (** pencil condition estimate actually used *)
+  iterations : int;  (** Chebyshev iterations of the run that produced [x] *)
+  kappa : float;
+      (** the κ the Chebyshev run that produced [x] used: 1.2 × the
+          certified or Lanczos pencil ratio, doubled once per rerun *)
   sparsifier_edges : int;
   rounds : int;  (** total charged rounds *)
   phase_rounds : (string * int) list;
       (** ledger breakdown (sorted): "chebyshev", "kappa-estimate",
-          "sparsify" *)
+          "kappa-retry" (only when an estimated κ made Chebyshev miss its
+          tolerance and rerun with κ doubled), "sparsify" *)
   residual : float;  (** final relative ℓ₂ residual ‖b − L_G x‖/‖b‖ *)
 }
+
+val certified_bounds : Graph.t -> Graph.t -> (float * float) option
+(** [certified_bounds g h] is [Some (lo, hi)] when [h] is simple and has
+    exactly the vertex pairs of [g] (parallel edges of [g] merged):
+    [lo]/[hi] are the least/greatest ratio [w_G/w_H] over those pairs,
+    and [lo·L_H ≼ L_G ≼ hi·L_H]. [None] when the supports differ; then
+    the solver estimates κ by Lanczos instead. *)
 
 val solve :
   ?eps:float ->
@@ -47,7 +60,7 @@ val solve :
     defaults to [Direct] for [n ≤ 400], [Iterative] above. [model]
     (default [CC_MODEL], [Runtime.Config.t.model]) selects unicast vs broadcast
     round accounting for the sparsifier phase; the matvec-driven phases
-    (κ-estimation, Chebyshev) cost the same in both models, and the
+    (the κ bound, Chebyshev) cost the same in both models, and the
     solution is bit-identical. Raises [Invalid_argument] on a
     disconnected graph. *)
 
@@ -71,7 +84,7 @@ val solve_with_sparsifier :
     The throughput daemon serves many right-hand sides against the same
     graph. {!prepare} performs the per-graph work once — weight
     preprocessing, sparsifier construction, the inner Cholesky/CG state,
-    κ-estimation, and the Chebyshev workspace — and {!solve_prepared} then
+    the κ bound, and the Chebyshev workspace — and {!solve_prepared} then
     answers each request with bit-identical reports to {!solve} while
     performing zero heap allocations per Chebyshev iteration (with the
     [Direct] inner solver; [Iterative] allocates O(1) words per outer
@@ -98,8 +111,8 @@ val solve_prepared : prepared -> Linalg.Vec.t -> report
 (** [solve_prepared p b] is bit-identical to
     [solve ?eps ?phi ?inner ?backend ?model g b] for the arguments [p] was
     prepared with — including [rounds] and [phase_rounds], which replay the
-    full pipeline's ledger so a cached answer is indistinguishable from a
-    cold one. *)
+    sparsify and κ rounds [prepare] recorded, so a cached answer is
+    indistinguishable from a cold one. *)
 
 val prepared_dim : prepared -> int
 

@@ -21,7 +21,19 @@ let test_graph_create_validation () =
     (try
        ignore (Graph.create 3 [ { Graph.u = 0; v = 3; w = 1. } ]);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* A NaN weight fails every comparison, so only an explicit finiteness
+     test keeps it out. *)
+  List.iter
+    (fun w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "weight %g rejected" w)
+        true
+        (try
+           ignore (Graph.create 3 [ { Graph.u = 0; v = 1; w } ]);
+           false
+         with Invalid_argument _ -> true))
+    [ nan; infinity; neg_infinity ]
 
 let test_graph_degrees () =
   let g = Graph_gen.star 5 in

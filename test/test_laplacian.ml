@@ -260,9 +260,9 @@ let fnv_bits x =
 (* E2's n-sweep fixtures (bench/main.ml, seed 7, eps = 1e-6). κ only
    reaches the ungated [stats] of BENCH_E2.json and the prepared-vs-one-shot
    test moves with the code it compares, so κ's bits, the Chebyshev
-   iteration count and the solution's bits are pinned here as recorded
-   before the allocation-free rewrite of Fiedler, the small-cut enumeration
-   and the κ power loops. *)
+   iteration count and the solution's bits are pinned here. n = 30 keeps
+   G's support and takes the certified κ (exactly 1.2); n = 60, 90, 120
+   take the Lanczos estimate. *)
 let test_e2_nsweep_pinned () =
   List.iter
     (fun (n, kappa_bits, iterations, x_fnv) ->
@@ -283,10 +283,10 @@ let test_e2_nsweep_pinned () =
         x_fnv
         (fnv_bits r.Laplacian.Solver.x))
     [
-      (30, 4608083138725491504L, 7, -2590138469489925068L);
-      (60, 4618029039925332268L, 26, -495639194846872154L);
-      (90, 4614928519738668452L, 16, 98993935538581910L);
-      (120, 4618416613683784602L, 23, 5453984488452370630L);
+      (30, 4608083138725491507L, 7, 7525225659943094731L);
+      (60, 4618420603450775456L, 22, 6342113830789887129L);
+      (90, 4615107380745358494L, 16, -3468756687366448664L);
+      (120, 4619004782912125290L, 23, 6609512105227040435L);
     ]
 
 let suite =
@@ -294,4 +294,260 @@ let suite =
   @ [
       Alcotest.test_case "E2 n-sweep kappa pinned" `Quick
         test_e2_nsweep_pinned;
+    ]
+
+(* ------------------------------------------------- κ: certificate, Lanczos *)
+
+(* Eigenvalues of a symmetric matrix by cyclic Jacobi rotations — the
+   dense oracle the κ tests compare against. *)
+let jacobi_eigenvalues m =
+  let a = Array.map Array.copy m in
+  let k = Array.length a in
+  let off () =
+    let s = ref 0. in
+    for i = 0 to k - 1 do
+      for j = 0 to k - 1 do
+        if i <> j then s := !s +. (a.(i).(j) *. a.(i).(j))
+      done
+    done;
+    !s
+  in
+  let sweeps = ref 0 in
+  while off () > 1e-40 && !sweeps < 100 do
+    for p = 0 to k - 2 do
+      for q = p + 1 to k - 1 do
+        if a.(p).(q) <> 0. then begin
+          let theta = (a.(q).(q) -. a.(p).(p)) /. (2. *. a.(p).(q)) in
+          let t =
+            Float.copy_sign 1. theta
+            /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.))
+          in
+          let c = 1. /. sqrt ((t *. t) +. 1.) in
+          let s = t *. c in
+          for r = 0 to k - 1 do
+            let x = a.(r).(p) and y = a.(r).(q) in
+            a.(r).(p) <- (c *. x) -. (s *. y);
+            a.(r).(q) <- (s *. x) +. (c *. y)
+          done;
+          for r = 0 to k - 1 do
+            let x = a.(p).(r) and y = a.(q).(r) in
+            a.(p).(r) <- (c *. x) -. (s *. y);
+            a.(q).(r) <- (s *. x) +. (c *. y)
+          done
+        end
+      done
+    done;
+    incr sweeps
+  done;
+  Array.init k (fun i -> a.(i).(i))
+
+(* The exact extremes of the pencil (L_G, L_H) on 1⊥: both forms are
+   invariant under adding a constant, so ground vertex 0; with
+   L̃_H = C Cᵀ the pencil is the spectrum of C⁻¹ L̃_G C⁻ᵀ. *)
+let exact_pencil g h =
+  let grounded g =
+    let l = Graph.laplacian_dense g in
+    let k = Graph.n g - 1 in
+    Array.init k (fun i -> Array.init k (fun j -> l.(i + 1).(j + 1)))
+  in
+  let lg = grounded g and c = Linalg.Dense.cholesky (grounded h) in
+  let k = Array.length lg in
+  (* y = C⁻¹ x by forward substitution. *)
+  let lower_solve x =
+    let y = Array.make k 0. in
+    for i = 0 to k - 1 do
+      let s = ref x.(i) in
+      for j = 0 to i - 1 do
+        s := !s -. (c.(i).(j) *. y.(j))
+      done;
+      y.(i) <- !s /. c.(i).(i)
+    done;
+    y
+  in
+  (* L̃_G is symmetric, so column i of W = C⁻¹ L̃_G is C⁻¹ (row i of L̃_G);
+     column j of M = C⁻¹ Wᵀ is C⁻¹ (row j of W). *)
+  let w = Array.map lower_solve lg in
+  let m = Array.init k (fun j -> lower_solve (Array.init k (fun i -> w.(i).(j)))) in
+  let m = Array.init k (fun i -> Array.init k (fun j -> 0.5 *. (m.(i).(j) +. m.(j).(i)))) in
+  let ev = jacobi_eigenvalues m in
+  (Array.fold_left Float.min infinity ev, Array.fold_left Float.max 0. ev)
+
+(* H on G's support, each vertex pair's merged weight scaled by a factor in
+   [1/4, 4] drawn from [seed]. *)
+let reweighted ~seed g =
+  let rng = Prng.create seed in
+  let simple = Graph.reweight_simple g in
+  Graph.map_weights (fun e -> e.Graph.w *. (0.25 +. Prng.float rng 3.75)) simple
+
+let qcheck_certificate =
+  QCheck.Test.make ~name:"certified bracket contains the exact pencil"
+    ~count:25
+    QCheck.(pair (int_range 3 40) small_nat)
+    (fun (n, seed) ->
+      let seed = Int64.of_int (seed + 1) in
+      let base = Gen.weighted_gnp ~seed n 0.3 16 in
+      (* Parallel copies of every third edge: the certificate must merge
+         them before it compares supports. *)
+      let g =
+        Graph.union base
+          (Graph.sub_edges base
+             (List.filter (fun i -> i mod 3 = 0)
+                (List.init (Graph.m base) Fun.id)))
+      in
+      let h = reweighted ~seed g in
+      match Laplacian.Solver.certified_bounds g h with
+      | None -> QCheck.Test.fail_report "same support not certified"
+      | Some (lo, hi) ->
+        let lmin, lmax = exact_pencil g h in
+        lo <= lmin *. (1. +. 1e-9) && hi >= lmax *. (1. -. 1e-9))
+
+let kappa_phase r =
+  try List.assoc "kappa-estimate" r.Laplacian.Solver.phase_rounds
+  with Not_found -> 0
+
+let sparsifier_of h =
+  {
+    Sparsify.Spectral.sparsifier = h;
+    levels = 0;
+    classes = 0;
+    rounds = 0;
+    phase_rounds = [];
+  }
+
+(* Dropping one edge of H, or adding one, loses the certificate: the
+   solver then takes the Lanczos path and charges more than the one
+   broadcast round. *)
+let test_certificate_mutations () =
+  let n = 24 in
+  let g = Gen.connected_gnp ~seed:41L n 0.4 in
+  let b = demand n in
+  let h = reweighted ~seed:42L g in
+  let es = Array.to_list (Graph.edges h) in
+  let cases =
+    [
+      ("same support", h, true);
+      ("one edge dropped", Graph.create n (List.tl es), false);
+      ( "one edge added",
+        (let absent =
+           let rec find u v =
+             if List.exists
+                  (fun (e : Graph.edge) ->
+                    (e.u = u && e.v = v) || (e.u = v && e.v = u))
+                  es
+             then if v + 1 < n then find u (v + 1) else find (u + 1) (u + 2)
+             else { Graph.u; v; w = 1. }
+           in
+           find 0 1
+         in
+         Graph.create n (absent :: es)),
+        false );
+    ]
+  in
+  List.iter
+    (fun (name, h, certified) ->
+      Alcotest.(check bool)
+        (name ^ ": certificate") certified
+        (Laplacian.Solver.certified_bounds g h <> None);
+      let r = Laplacian.Solver.solve_with_sparsifier g (sparsifier_of h) b in
+      Alcotest.(check bool)
+        (name ^ ": one kappa round iff certified") certified
+        (kappa_phase r = Runtime.Cost.broadcast_rounds);
+      let err = Laplacian.Solver.error_in_l_norm g r.Laplacian.Solver.x b in
+      if err > 1e-6 then Alcotest.failf "%s: error %g" name err)
+    cases
+
+(* A tolerance out of floating-point reach (ε = 1e-17, so Chebyshev aims
+   at a 1e-19 residual) makes every Chebyshev run miss. On the Lanczos
+   path each miss doubles κ and reruns under "kappa-retry", four times
+   at most; a certified κ is never second-guessed. *)
+let test_kappa_retry () =
+  let n = 24 in
+  let g = Gen.connected_gnp ~seed:41L n 0.4 in
+  let b = demand n in
+  let h = reweighted ~seed:42L g in
+  let dropped = Graph.create n (List.tl (Array.to_list (Graph.edges h))) in
+  let solve eps h =
+    Laplacian.Solver.solve_with_sparsifier ~eps g (sparsifier_of h) b
+  in
+  let retry r =
+    try List.assoc "kappa-retry" r.Laplacian.Solver.phase_rounds
+    with Not_found -> 0
+  in
+  let reached = solve 1e-6 dropped and missed = solve 1e-17 dropped in
+  Alcotest.(check int) "no retry when Chebyshev converges" 0 (retry reached);
+  Alcotest.(check bool) "retries charged" true (retry missed > 0);
+  Alcotest.(check (float 0.))
+    "kappa doubled four times" (16. *. reached.Laplacian.Solver.kappa)
+    missed.Laplacian.Solver.kappa;
+  Alcotest.(check int)
+    "phases sum to total" missed.Laplacian.Solver.rounds
+    (List.fold_left (fun a (_, r) -> a + r) 0 missed.Laplacian.Solver.phase_rounds);
+  Alcotest.(check int) "certified: no retry" 0 (retry (solve 1e-17 h))
+
+(* E2's n-sweep fixtures where the sparsifier drops edges (H ≠ G): the κ
+   the solver runs with must cover the exact pencil, and the estimate
+   under the 1.2 margin (the Ritz ratio widened by its residuals) must
+   read between 0.99 and 1.05 of it. *)
+let test_lanczos_kappa () =
+  List.iter
+    (fun n ->
+      let eps = 1e-6 in
+      let g = Gen.connected_gnp ~seed:7L n 0.3 in
+      let g' =
+        Graph.map_weights
+          (fun e -> eps *. Float.max 1. (Float.round (e.Graph.w /. eps)))
+          g
+      in
+      let h = (Sparsify.Spectral.sparsify g').Sparsify.Spectral.sparsifier in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: H differs from G" n)
+        true
+        (Laplacian.Solver.certified_bounds g' h = None);
+      let lmin, lmax = exact_pencil g' h in
+      let exact = lmax /. lmin in
+      let b = Linalg.Vec.sub (Linalg.Vec.basis n 0) (Linalg.Vec.basis n (n - 1)) in
+      let r = Laplacian.Solver.solve ~eps g b in
+      let used = r.Laplacian.Solver.kappa in
+      if used < exact then
+        Alcotest.failf "n=%d: kappa %g below the exact %g" n used exact;
+      let estimate = used /. 1.2 in
+      if estimate < 0.99 *. exact || estimate > 1.05 *. exact then
+        Alcotest.failf "n=%d: estimate %g not within [0.99, 1.05] of %g" n
+          estimate exact)
+    [ 60; 90; 120 ]
+
+(* solve_prepared replays the κ rounds prepare charged, on both paths. *)
+let test_prepared_replays_kappa_rounds () =
+  List.iter
+    (fun (n, certified) ->
+      let g = Gen.connected_gnp ~seed:7L n 0.3 in
+      let b = Linalg.Vec.sub (Linalg.Vec.basis n 0) (Linalg.Vec.basis n (n - 1)) in
+      let r = Laplacian.Solver.solve ~eps:1e-6 g b in
+      let r' =
+        Laplacian.Solver.solve_prepared (Laplacian.Solver.prepare ~eps:1e-6 g) b
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: certified path" n)
+        certified
+        (kappa_phase r = Runtime.Cost.broadcast_rounds);
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d: rounds" n)
+        r.Laplacian.Solver.rounds r'.Laplacian.Solver.rounds;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "n=%d: phase rounds" n)
+        r.Laplacian.Solver.phase_rounds r'.Laplacian.Solver.phase_rounds)
+    [ (30, true); (60, false) ]
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest ~long:false qcheck_certificate;
+      Alcotest.test_case "certificate mutations" `Quick
+        test_certificate_mutations;
+      Alcotest.test_case "Lanczos kappa covers the exact pencil" `Quick
+        test_lanczos_kappa;
+      Alcotest.test_case "estimated kappa retried on a miss" `Quick
+        test_kappa_retry;
+      Alcotest.test_case "prepared replays kappa rounds" `Quick
+        test_prepared_replays_kappa_rounds;
     ]

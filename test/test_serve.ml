@@ -71,6 +71,11 @@ let get_float path j =
 
 let get_bool path j = match get path j with Some (Json.Bool b) -> b | _ -> false
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
 let check_ok name j = Alcotest.(check bool) (name ^ ": ok") true (Serve.Client.ok j)
 
 let check_refused name j =
@@ -135,7 +140,33 @@ let test_bad_graph_refused () =
       check_refused "missing graph" (request addr {|{"kind":"solve"}|});
       check_refused "rhs length"
         (request addr
-           {|{"kind":"solve","graph":{"gen":"grid","rows":2,"cols":2},"b":[1,2,3]}|}))
+           {|{"kind":"solve","graph":{"gen":"grid","rows":2,"cols":2},"b":[1,2,3]}|}));
+  (* 1e999 parses to infinity. The client re-encodes a request, which an
+     infinite weight does not survive, so the frame goes straight to the
+     decoder and the executor: the answer must be a refusal naming the
+     weight, not a NaN solution, even under the default policy. *)
+  let probe =
+    {|{"kind":"solve","graph":{"n":3,"edges":[[0,1,1e999],[1,2,1],[0,2,1]]},"b":[1,0,-1]}|}
+  in
+  let refusal =
+    match Serve.Job.parse_string probe with
+    | Error m -> Some m
+    | Ok job -> (
+      match
+        Serve.Exec.run ~policy:Serve.Exec.Off
+          ~cache:(Serve.Cache.create ~cap:4)
+          job
+      with
+      | Error m -> Some m
+      | Ok _ -> None)
+  in
+  match refusal with
+  | None -> Alcotest.fail "infinite weight answered"
+  | Some m ->
+    Alcotest.(check bool)
+      ("refusal names the weight: " ^ m)
+      true
+      (contains m "weight")
 
 let test_oversized_frame_refused_connection_kept () =
   with_daemon ~max_bytes:256 (fun addr ->
@@ -149,13 +180,7 @@ let test_oversized_frame_refused_connection_kept () =
       Alcotest.(check bool)
         "names the limit" true
         (match Serve.Client.error_message big with
-        | Some m ->
-          let has_sub s sub =
-            let n = String.length s and k = String.length sub in
-            let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-            go 0
-          in
-          has_sub m "exceeds"
+        | Some m -> contains m "exceeds"
         | None -> false);
       (* same connection still serves normal requests *)
       let small =
@@ -402,22 +427,29 @@ let test_job_parse_roundtrip () =
 
 (* ------------------------------------------------- canonical cache keys *)
 
-(* Two weights the FNV fingerprint folds alike: they differ only in the
-   sign bit, which the fold's 63-bit int drops. [Graph.create] accepts
-   both (a NaN is not <= 0). *)
+(* Floats that differ only in the IEEE sign bit. The fingerprints fold
+   all 64 bits of a float, so a sign error in a solution shows in its
+   [x_fnv]. Graph weights are positive and finite, so for graphs the
+   nearest pair is one ulp apart, and fingerprint and key both tell it. *)
 let nan_pos = Int64.float_of_bits 0x7FF8000000000000L
 
 let nan_neg = Int64.float_of_bits 0xFFF8000000000000L
 
-let test_key_separates_fnv_collision () =
+let test_fingerprints_fold_sign_bit () =
+  let vec x = Serve.Fingerprint.vec Wire.Fnv.offset [| x; 2.5 |] in
+  List.iter
+    (fun (name, x, y) ->
+      Alcotest.(check bool) (name ^ ": vec fingerprints differ") false
+        (vec x = vec y))
+    [ ("NaN/-NaN", nan_pos, nan_neg); ("1.0/-1.0", 1.0, -1.0) ];
   let g w = Graph.create 2 [ { Graph.u = 0; v = 1; w } ] in
+  let w' = Float.succ 1.0 in
   Alcotest.(check bool)
-    "fingerprints collide" true
-    (Serve.Fingerprint.graph (g nan_pos) = Serve.Fingerprint.graph (g nan_neg));
+    "graph fingerprints differ" false
+    (Serve.Fingerprint.graph (g 1.0) = Serve.Fingerprint.graph (g w'));
   Alcotest.(check bool)
-    "keys differ" false
-    (Serve.Fingerprint.graph_key (g nan_pos)
-    = Serve.Fingerprint.graph_key (g nan_neg))
+    "graph keys differ" false
+    (Serve.Fingerprint.graph_key (g 1.0) = Serve.Fingerprint.graph_key (g w'))
 
 (* Keys are equal exactly when the canonical inputs are: same sizes, the
    same edges (weights by bit pattern) or arcs in the same order, the same
@@ -428,7 +460,7 @@ let test_keys_equal_iff_inputs_equal () =
   let pair_of ?(near = pure) spec =
     spec >>= fun a -> map (fun b -> (a, b)) (oneof [ pure a; near a; spec ])
   in
-  let weight = oneofl [ 1.; 2.; nan_pos; nan_neg ] in
+  let weight = oneofl [ 1.; 2.; 0.5; Float.succ 1. ] in
   let graph_spec =
     let* n = int_range 2 3 in
     let* edges =
@@ -506,8 +538,8 @@ let () =
             test_cache_hit_identical_output;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
-          Alcotest.test_case "cache key separates an FNV collision" `Quick
-            test_key_separates_fnv_collision;
+          Alcotest.test_case "fingerprints fold the sign bit" `Quick
+            test_fingerprints_fold_sign_bit;
           Alcotest.test_case "cache keys equal iff inputs equal" `Quick
             test_keys_equal_iff_inputs_equal;
         ] );
